@@ -301,6 +301,7 @@ func BenchmarkImplication(b *testing.B) {
 	sigma := dataset.GenGFDs(g, dataset.GFDGenConfig{Count: 300, K: 3, Seed: 7})
 	phi := sigma[len(sigma)-1]
 	rest := sigma[:len(sigma)-1]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.Implies(rest, phi)

@@ -19,25 +19,31 @@ import (
 // variable space, with at most one constant tag per class; it is the chase
 // of relational dependency theory specialised to equality atoms.
 
-type termKey struct {
-	v int
-	a string
+// term is one x.A of the closure's variable space with its union–find
+// state; the constant tag is meaningful at class roots only.
+type term struct {
+	v        int
+	a        string
+	parent   int
+	rank     int
+	constOf  string
+	hasConst bool
 }
 
 // Closure is the deductive closure of a literal set over a pattern's
-// variable space. The zero value is not usable; use newClosure.
+// variable space. The zero value is the empty closure. Its terms live in a
+// slice searched linearly: a closure holds a handful of terms (the
+// attributes its literals mention), and a reused Closure keeps its
+// capacity, so building one allocates nothing once warm.
 type Closure struct {
-	n           int
-	parent      []int
-	rank        []int
-	constOf     []string
-	hasConst    []bool
-	terms       map[termKey]int
+	terms       []term
 	conflicting bool
 }
 
-func newClosure(numVars int) *Closure {
-	return &Closure{n: numVars, terms: make(map[termKey]int)}
+// reset empties the closure, keeping its capacity.
+func (c *Closure) reset() {
+	c.terms = c.terms[:0]
+	c.conflicting = false
 }
 
 // Conflicting reports whether the closure contains x.A = c and x.A = d for
@@ -45,28 +51,28 @@ func newClosure(numVars int) *Closure {
 func (c *Closure) Conflicting() bool { return c.conflicting }
 
 func (c *Closure) term(v int, a string) int {
-	k := termKey{v, a}
-	if t, ok := c.terms[k]; ok {
+	if t, ok := c.lookup(v, a); ok {
 		return t
 	}
-	t := len(c.parent)
-	c.terms[k] = t
-	c.parent = append(c.parent, t)
-	c.rank = append(c.rank, 0)
-	c.constOf = append(c.constOf, "")
-	c.hasConst = append(c.hasConst, false)
+	t := len(c.terms)
+	c.terms = append(c.terms, term{v: v, a: a, parent: t})
 	return t
 }
 
 func (c *Closure) lookup(v int, a string) (int, bool) {
-	t, ok := c.terms[termKey{v, a}]
-	return t, ok
+	for t := range c.terms {
+		if c.terms[t].v == v && c.terms[t].a == a {
+			return t, true
+		}
+	}
+	return 0, false
 }
 
 func (c *Closure) find(t int) int {
-	for c.parent[t] != t {
-		c.parent[t] = c.parent[c.parent[t]]
-		t = c.parent[t]
+	ts := c.terms
+	for ts[t].parent != t {
+		ts[t].parent = ts[ts[t].parent].parent
+		t = ts[t].parent
 	}
 	return t
 }
@@ -76,38 +82,39 @@ func (c *Closure) union(a, b int) bool {
 	if ra == rb {
 		return false
 	}
-	if c.rank[ra] < c.rank[rb] {
+	ts := c.terms
+	if ts[ra].rank < ts[rb].rank {
 		ra, rb = rb, ra
 	}
-	c.parent[rb] = ra
-	if c.rank[ra] == c.rank[rb] {
-		c.rank[ra]++
+	ts[rb].parent = ra
+	if ts[ra].rank == ts[rb].rank {
+		ts[ra].rank++
 	}
 	// Merge constant tags; conflicting tags derive false.
-	if c.hasConst[rb] {
-		if c.hasConst[ra] {
-			if c.constOf[ra] != c.constOf[rb] {
+	if ts[rb].hasConst {
+		if ts[ra].hasConst {
+			if ts[ra].constOf != ts[rb].constOf {
 				c.conflicting = true
 			}
 		} else {
-			c.hasConst[ra] = true
-			c.constOf[ra] = c.constOf[rb]
+			ts[ra].hasConst = true
+			ts[ra].constOf = ts[rb].constOf
 		}
 	}
 	return true
 }
 
 func (c *Closure) setConst(t int, val string) bool {
-	r := c.find(t)
-	if c.hasConst[r] {
-		if c.constOf[r] != val {
+	r := &c.terms[c.find(t)]
+	if r.hasConst {
+		if r.constOf != val {
 			c.conflicting = true
 			return true
 		}
 		return false
 	}
-	c.hasConst[r] = true
-	c.constOf[r] = val
+	r.hasConst = true
+	r.constOf = val
 	return true
 }
 
@@ -136,8 +143,8 @@ func (c *Closure) holds(l Literal) bool {
 		if !ok {
 			return false
 		}
-		r := c.find(t)
-		return c.hasConst[r] && c.constOf[r] == l.C
+		r := &c.terms[c.find(t)]
+		return r.hasConst && r.constOf == l.C
 	case LVar:
 		tx, okx := c.lookup(l.X, l.A)
 		ty, oky := c.lookup(l.Y, l.B)
@@ -149,7 +156,8 @@ func (c *Closure) holds(l Literal) bool {
 			return true
 		}
 		// Equal constants entail equality by transitivity.
-		return c.hasConst[rx] && c.hasConst[ry] && c.constOf[rx] == c.constOf[ry]
+		x, y := &c.terms[rx], &c.terms[ry]
+		return x.hasConst && y.hasConst && x.constOf == y.constOf
 	default: // LFalse
 		return c.conflicting
 	}
@@ -158,65 +166,88 @@ func (c *Closure) holds(l Literal) bool {
 // Holds reports whether the closure entails l; exported for eval/tests.
 func (c *Closure) Holds(l Literal) bool { return c.holds(l) }
 
-// embeddedRule is a GFD pre-translated along one embedding into the host
-// pattern's variable space.
-type embeddedRule struct {
-	x   []Literal
-	rhs Literal
+// Implier computes closures, implication, triviality and reduction on
+// reused scratch. It is the package's single implementation of each:
+// Implies, ComputeClosure, GFD.Trivial and Reduces are wrappers over a
+// fresh Implier. A long-lived Implier allocates nothing per triviality
+// test once warm, and memoises the embeddings of each (sub, super)
+// pattern pair it has seen, so tests over many GFDs that share a few
+// patterns enumerate each pair's embeddings once. The memo is keyed by
+// pattern pointer, never by canonical code: embeddings depend on the
+// variable numbering, which isomorphic patterns need not share. Patterns
+// must not be mutated while an Implier may hold them. The zero value is
+// ready to use; an Implier is not safe for concurrent use.
+type Implier struct {
+	cl     Closure
+	rules  []rule
+	embeds map[embedKey][][]int
 }
 
-// EmbeddedIn returns the GFDs of sigma embedded in q: those whose pattern
-// has at least one embedding into q (Section 3). φ itself should be
-// excluded by the caller when testing Σ\{φ} ⊨ φ.
-func EmbeddedIn(sigma []*GFD, q *pattern.Pattern) []*GFD {
-	var out []*GFD
-	for _, g := range sigma {
-		if pattern.EmbedsInto(g.Q, q, pattern.EmbedOptions{}) {
-			out = append(out, g)
-		}
+type embedKey struct {
+	sub, super *pattern.Pattern
+	opts       pattern.EmbedOptions
+}
+
+// rule is a GFD of Σ fired through one embedding f of its pattern into
+// the host pattern: its literals are translated with Remap(f) as they are
+// read.
+type rule struct {
+	g *GFD
+	f []int
+}
+
+// embeddings returns every embedding of sub into super under opts,
+// enumerated once per pattern pair.
+func (im *Implier) embeddings(sub, super *pattern.Pattern, opts pattern.EmbedOptions) [][]int {
+	key := embedKey{sub, super, opts}
+	if fs, ok := im.embeds[key]; ok {
+		return fs
 	}
-	return out
+	var fs [][]int
+	pattern.Embeddings(sub, super, opts, func(f []int) bool {
+		fs = append(fs, append([]int(nil), f...))
+		return true
+	})
+	if im.embeds == nil {
+		im.embeds = make(map[embedKey][][]int)
+	}
+	im.embeds[key] = fs
+	return fs
 }
 
-// ComputeClosure computes closure(Σ_Q, X) for host pattern q: it seeds the
-// closure with X, then repeatedly fires every GFD of sigma through every
-// embedding of its pattern into q whenever the embedded premises hold,
-// until fixpoint. sigma should already be restricted to GFDs embedded in q
-// (EmbeddedIn); unembeddable GFDs are skipped harmlessly.
-func ComputeClosure(sigma []*GFD, q *pattern.Pattern, x []Literal) *Closure {
-	cl := newClosure(q.N())
+// closure computes closure(Σ_Q, X) for host pattern q into im.cl: it seeds
+// the closure with X, then repeatedly fires every GFD of sigma through
+// every embedding of its pattern into q whenever the embedded premises
+// hold, until fixpoint. GFDs of sigma not embedded in q have no
+// embeddings and never fire.
+func (im *Implier) closure(sigma []*GFD, q *pattern.Pattern, x []Literal) *Closure {
+	cl := &im.cl
+	cl.reset()
 	for _, l := range x {
 		cl.assert(l)
 	}
-	// Pre-translate every (GFD, embedding) pair once.
-	var rules []embeddedRule
+	im.rules = im.rules[:0]
+	var sub *pattern.Pattern // GFDs sharing a pattern tend to be adjacent in sigma
+	var fs [][]int
 	for _, g := range sigma {
-		g := g
-		pattern.Embeddings(g.Q, q, pattern.EmbedOptions{}, func(f []int) bool {
-			r := embeddedRule{x: make([]Literal, len(g.X))}
-			for i, l := range g.X {
-				r.x[i] = l.Remap(f)
-			}
-			if g.RHS.Kind == LFalse {
-				r.rhs = False()
-			} else {
-				r.rhs = g.RHS.Remap(f)
-			}
-			rules = append(rules, r)
-			return true
-		})
+		if g.Q != sub {
+			sub, fs = g.Q, im.embeddings(g.Q, q, pattern.EmbedOptions{})
+		}
+		for _, f := range fs {
+			im.rules = append(im.rules, rule{g: g, f: f})
+		}
 	}
-	for changed := true; changed && !cl.conflicting; {
+	for changed := len(im.rules) > 0; changed && !cl.conflicting; {
 		changed = false
-		for _, r := range rules {
+		for _, r := range im.rules {
 			ok := true
-			for _, l := range r.x {
-				if !cl.holds(l) {
+			for _, l := range r.g.X {
+				if !cl.holds(l.Remap(r.f)) {
 					ok = false
 					break
 				}
 			}
-			if ok && cl.assert(r.rhs) {
+			if ok && cl.assert(r.g.RHS.Remap(r.f)) {
 				changed = true
 			}
 		}
@@ -224,24 +255,46 @@ func ComputeClosure(sigma []*GFD, q *pattern.Pattern, x []Literal) *Closure {
 	return cl
 }
 
+// Implies reports Σ ⊨ φ by the characterisation of Section 3: closure(Σ_Q,
+// X) is conflicting or contains φ's right-hand side (false only in the
+// former case). The caller passes sigma without φ itself when testing
+// redundancy.
+func (im *Implier) Implies(sigma []*GFD, phi *GFD) bool {
+	return im.closure(sigma, phi.Q, phi.X).holds(phi.RHS)
+}
+
+// Trivial reports whether X → rhs is trivial (Section 4.1): X cannot be
+// satisfied (it equates one term with two distinct constants), or rhs
+// already follows from X by transitivity of equality alone — that is, the
+// empty set implies it. x is only read.
+func (im *Implier) Trivial(x []Literal, rhs Literal) bool {
+	return im.closure(nil, nil, x).holds(rhs)
+}
+
+// Reduces reports φ1 ≪ φ2 (see the package-level Reduces).
+func (im *Implier) Reduces(g1, g2 *GFD) bool {
+	for _, f := range im.embeddings(g1.Q, g2.Q, pattern.EmbedOptions{PivotPreserving: true}) {
+		if reducesVia(g1, g2, f) {
+			return true
+		}
+	}
+	return false
+}
+
+// ComputeClosure computes closure(Σ_Q, X) for host pattern q (see
+// Implier); GFDs of sigma not embedded in q are skipped harmlessly.
+func ComputeClosure(sigma []*GFD, q *pattern.Pattern, x []Literal) *Closure {
+	return new(Implier).closure(sigma, q, x)
+}
+
 // Enforced computes enforced(Σ_Q) = closure(Σ_Q, ∅) for the pattern q.
 func Enforced(sigma []*GFD, q *pattern.Pattern) *Closure {
 	return ComputeClosure(sigma, q, nil)
 }
 
-// Implies reports Σ ⊨ φ by the characterisation of Section 3: closure(Σ_Q,
-// X) is conflicting or contains φ's right-hand side. The caller passes
-// sigma without φ itself when testing redundancy.
+// Implies reports Σ ⊨ φ (see Implier.Implies).
 func Implies(sigma []*GFD, phi *GFD) bool {
-	sq := EmbeddedIn(sigma, phi.Q)
-	cl := ComputeClosure(sq, phi.Q, phi.X)
-	if cl.conflicting {
-		return true
-	}
-	if phi.RHS.Kind == LFalse {
-		return false // not conflicting, so false is not derivable
-	}
-	return cl.holds(phi.RHS)
+	return new(Implier).Implies(sigma, phi)
 }
 
 // Satisfiable reports whether Σ has a model with at least one applicable
@@ -250,9 +303,9 @@ func Implies(sigma []*GFD, phi *GFD) bool {
 // satisfiable under the paper's definition (condition (b) requires an
 // applicable GFD).
 func Satisfiable(sigma []*GFD) bool {
+	var im Implier
 	for _, g := range sigma {
-		sq := EmbeddedIn(sigma, g.Q)
-		if !Enforced(sq, g.Q).Conflicting() {
+		if !im.closure(sigma, g.Q, nil).Conflicting() {
 			return true
 		}
 	}

@@ -155,66 +155,37 @@ func ContainsLiteral(x []Literal, l Literal) bool {
 	return false
 }
 
-// SubsetLiterals reports whether every literal of a occurs in b.
-func SubsetLiterals(a, b []Literal) bool {
-	for _, l := range a {
-		if !ContainsLiteral(b, l) {
-			return false
-		}
-	}
-	return true
-}
-
 // Trivial reports whether the GFD is trivial (Section 4.1): X cannot be
 // satisfied (it equates one term with two distinct constants), or the
 // right-hand side already follows from X by transitivity of equality alone.
-func (g *GFD) Trivial() bool {
-	cl := newClosure(g.Q.N())
-	for _, l := range g.X {
-		cl.assert(l)
-	}
-	if cl.conflicting {
-		return true
-	}
-	if g.RHS.Kind == LFalse {
-		return false // X satisfiable, RHS false: a genuine negative GFD
-	}
-	return cl.holds(g.RHS)
-}
+// Callers testing many candidates reuse an Implier instead.
+func (g *GFD) Trivial() bool { return new(Implier).Trivial(g.X, g.RHS) }
 
 // Reduces reports φ1 ≪ φ2 per Section 4.1: an isomorphism f from Q1 into a
 // subgraph of Q2 that (a) preserves pivots, (b) maps X1 into X2 and l1 to
 // l2, and (c) is either a strict pattern reduction or a strict literal-set
-// reduction.
-func Reduces(g1, g2 *GFD) bool {
-	found := false
-	pattern.Embeddings(g1.Q, g2.Q, pattern.EmbedOptions{PivotPreserving: true}, func(f []int) bool {
-		// (b) literals must map into X2 / onto l2.
-		fx := make([]Literal, len(g1.X))
-		for i, l := range g1.X {
-			fx[i] = l.Remap(f)
-		}
-		if !SubsetLiterals(fx, g2.X) {
-			return true // try next embedding
-		}
-		if g1.RHS.Kind == LFalse || g2.RHS.Kind == LFalse {
-			if g1.RHS.Kind != g2.RHS.Kind {
-				return true
-			}
-		} else if !g1.RHS.Remap(f).Equal(g2.RHS) {
-			return true
-		}
-		// (c) strictness: Q1 ≪ Q2 via f, or f(X1) ⊊ X2.
-		patternStrict := g1.Q.N() < g2.Q.N() || g1.Q.Size() < g2.Q.Size() ||
-			labelsStrictlyUpgraded(g1.Q, g2.Q, f)
-		literalStrict := len(fx) < len(g2.X)
-		if patternStrict || literalStrict {
-			found = true
+// reduction. Callers testing many pairs reuse an Implier instead.
+func Reduces(g1, g2 *GFD) bool { return new(Implier).Reduces(g1, g2) }
+
+// reducesVia reports whether the pivot-preserving embedding f of Q1 into
+// Q2 witnesses φ1 ≪ φ2 (conditions (b) and (c) of Reduces).
+func reducesVia(g1, g2 *GFD, f []int) bool {
+	// (b) literals must map into X2 / onto l2.
+	for _, l := range g1.X {
+		if !ContainsLiteral(g2.X, l.Remap(f)) {
 			return false
 		}
-		return true
-	})
-	return found
+	}
+	if g1.RHS.Kind == LFalse || g2.RHS.Kind == LFalse {
+		if g1.RHS.Kind != g2.RHS.Kind {
+			return false
+		}
+	} else if !g1.RHS.Remap(f).Equal(g2.RHS) {
+		return false
+	}
+	// (c) strictness: Q1 ≪ Q2 via f, or f(X1) ⊊ X2.
+	return g1.Q.N() < g2.Q.N() || g1.Q.Size() < g2.Q.Size() ||
+		labelsStrictlyUpgraded(g1.Q, g2.Q, f) || len(g1.X) < len(g2.X)
 }
 
 // labelsStrictlyUpgraded reports whether f maps some wildcard label of sub

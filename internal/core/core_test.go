@@ -86,12 +86,6 @@ func TestLiteralSetHelpers(t *testing.T) {
 	if ContainsLiteral(x, Const(0, "a", "2")) {
 		t.Fatal("ContainsLiteral false positive")
 	}
-	if !SubsetLiterals([]Literal{Const(0, "a", "1")}, x) {
-		t.Fatal("SubsetLiterals broken")
-	}
-	if SubsetLiterals(x, []Literal{Const(0, "a", "1")}) {
-		t.Fatal("SubsetLiterals must fail on missing literal")
-	}
 }
 
 func TestTrivial(t *testing.T) {
@@ -168,7 +162,7 @@ func TestReducesGFD(t *testing.T) {
 }
 
 func TestClosureTransitivity(t *testing.T) {
-	cl := newClosure(3)
+	cl := new(Closure)
 	cl.assert(Vars(0, "a", 1, "b"))
 	cl.assert(Vars(1, "b", 2, "c"))
 	if !cl.holds(Vars(0, "a", 2, "c")) {
@@ -191,7 +185,7 @@ func TestClosureTransitivity(t *testing.T) {
 }
 
 func TestClosureUnknownTerms(t *testing.T) {
-	cl := newClosure(2)
+	cl := new(Closure)
 	cl.assert(Const(0, "a", "v"))
 	if cl.holds(Const(1, "b", "v")) {
 		t.Fatal("unasserted term must not hold")
@@ -206,18 +200,6 @@ func TestClosureUnknownTerms(t *testing.T) {
 	cl.assert(Const(1, "b", "v"))
 	if !cl.holds(Vars(0, "a", 1, "b")) {
 		t.Fatal("equal constants entail term equality")
-	}
-}
-
-func TestEmbeddedIn(t *testing.T) {
-	sigma := []*GFD{
-		phi1(),
-		New(pattern.SingleNode("person"), nil, Const(0, "kind", "human")),
-		New(pattern.SingleEdge("city", "located", pattern.Wildcard), nil, Const(0, "k", "v")),
-	}
-	got := EmbeddedIn(sigma, q1())
-	if len(got) != 2 {
-		t.Fatalf("EmbeddedIn: %d GFDs, want 2 (phi1 and the person-node GFD)", len(got))
 	}
 }
 
@@ -317,13 +299,20 @@ func TestKBounded(t *testing.T) {
 }
 
 func TestComputeClosureWithRules(t *testing.T) {
-	// enforced(ΣQ): rules with empty X fire unconditionally.
+	// enforced(ΣQ): rules with empty X fire unconditionally; a rule whose
+	// pattern is not embedded in Q never fires.
 	r1 := New(pattern.SingleNode("person"), nil, Const(0, "species", "human"))
-	cl := Enforced([]*GFD{r1}, q1())
+	r2 := New(pattern.SingleEdge("city", "located", pattern.Wildcard), nil, Const(0, "k", "v"))
+	cl := Enforced([]*GFD{r1, r2}, q1())
 	if !cl.Holds(Const(0, "species", "human")) {
 		t.Fatal("enforced closure must contain fired literal")
 	}
 	if cl.Holds(Const(1, "species", "human")) {
 		t.Fatal("literal must fire only at person positions")
+	}
+	for v := 0; v < 2; v++ {
+		if cl.Holds(Const(v, "k", "v")) {
+			t.Fatal("a rule not embedded in Q must not fire")
+		}
 	}
 }

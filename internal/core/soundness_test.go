@@ -188,3 +188,122 @@ func TestQuickCoverEquivalent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// reusePatterns are the host and rule patterns of the reuse-safety test.
+// twin is edge() renumbered: the same pivoted pattern (equal canonical
+// codes) with its variables swapped, so an embedding memo keyed by
+// canonical code instead of by pattern would hand one of them the other's
+// variable maps.
+func reusePatterns(t *testing.T) []*pattern.Pattern {
+	edge := pattern.SingleEdge("p", "r", "q")
+	twin := &pattern.Pattern{
+		NodeLabels: []string{"q", "p"},
+		Edges:      []pattern.Edge{{Src: 1, Dst: 0, Label: "r"}},
+		Pivot:      1,
+	}
+	if edge.CanonicalCode() != twin.CanonicalCode() {
+		t.Fatal("twin must be isomorphic to edge")
+	}
+	path := pattern.SingleEdge("p", "r", "q").ExtendNewNode(1, "r", pattern.Wildcard, true)
+	return []*pattern.Pattern{
+		pattern.SingleNode("p"), pattern.SingleNode(pattern.Wildcard),
+		edge, twin, pattern.SingleEdge(pattern.Wildcard, "r", "q"),
+		pattern.SingleEdge("p", "r", "p"), path,
+	}
+}
+
+// randomGFDOver draws a GFD over q with up to two premises; false is a
+// possible right-hand side, and so is a literal of X (a trivial GFD).
+func randomGFDOver(r *rand.Rand, q *pattern.Pattern) *core.GFD {
+	pool := randomLiteralPool(q.N())
+	var x []core.Literal
+	for i := r.Intn(3); i > 0; i-- {
+		x = append(x, pool[r.Intn(len(pool))])
+	}
+	rhs := pool[r.Intn(len(pool))]
+	switch {
+	case r.Intn(8) == 0:
+		rhs = core.False()
+	case len(x) > 0 && r.Intn(6) == 0:
+		rhs = x[r.Intn(len(x))]
+	}
+	return core.New(q, x, rhs)
+}
+
+// TestQuickReusedImplierMatchesFresh drives one reused triviality checker
+// and one reused implier through a random sequence of candidates over
+// shared pattern pointers, as the miner and the cover do. Every answer
+// must equal a fresh GFD.Trivial, core.Implies and core.Reduces: state
+// left behind by earlier candidates — closure terms, fired rules, memoised
+// embeddings — must never leak into a later answer.
+func TestQuickReusedImplierMatchesFresh(t *testing.T) {
+	pats := reusePatterns(t)
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		var triv, imp core.Implier
+		var mined []*core.GFD
+		for step := 0; step < 40; step++ {
+			phi := randomGFDOver(r, pats[r.Intn(len(pats))])
+			if got, want := triv.Trivial(phi.X, phi.RHS), phi.Trivial(); got != want {
+				t.Logf("step %d: reused Trivial = %v, fresh = %v for %s", step, got, want, phi)
+				return false
+			}
+			for _, psi := range mined {
+				if got, want := triv.Reduces(psi, phi), core.Reduces(psi, phi); got != want {
+					t.Logf("step %d: reused Reduces = %v, fresh = %v for %s ≪ %s", step, got, want, psi, phi)
+					return false
+				}
+			}
+			var sigma []*core.GFD
+			for _, psi := range mined {
+				if r.Intn(2) == 0 {
+					sigma = append(sigma, psi)
+				}
+			}
+			if got, want := imp.Implies(sigma, phi), core.Implies(sigma, phi); got != want {
+				t.Logf("step %d: reused Implies = %v, fresh = %v for %s", step, got, want, phi)
+				return false
+			}
+			mined = append(mined, phi)
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestImplierTwinPatterns pins the case a canonical-code memo gets wrong:
+// a rule on edge() fires into twin through the swapped variable map, so
+// after chasing edge into itself the implier must still place the
+// conclusion on twin's p-node (x1), not on x0.
+func TestImplierTwinPatterns(t *testing.T) {
+	pats := reusePatterns(t)
+	edge, twin := pats[2], pats[3]
+	rule := core.New(edge, nil, core.Const(0, "a", "1"))
+	onP := core.New(twin, nil, core.Const(1, "a", "1"))
+	onQ := core.New(twin, nil, core.Const(0, "a", "1"))
+	var im core.Implier
+	if !im.Implies([]*core.GFD{rule}, core.New(edge, nil, core.Const(0, "a", "1"))) {
+		t.Fatal("a rule must imply itself")
+	}
+	if !im.Implies([]*core.GFD{rule}, onP) {
+		t.Fatal("the rule must fire on twin's p-node")
+	}
+	if im.Implies([]*core.GFD{rule}, onQ) {
+		t.Fatal("the rule fired on twin's q-node: embeddings were taken from the wrong pattern")
+	}
+}
+
+// TestReusedTrivialAllocatesNothing: once warm, the miner's per-candidate
+// triviality test allocates nothing.
+func TestReusedTrivialAllocatesNothing(t *testing.T) {
+	x := []core.Literal{core.Vars(0, "a", 1, "a"), core.Const(1, "a", "1"), core.Const(0, "b", "2")}
+	var im core.Implier
+	for _, rhs := range []core.Literal{core.Const(0, "a", "1"), core.Const(2, "c", "3"), core.False()} {
+		im.Trivial(x, rhs)
+		if n := testing.AllocsPerRun(100, func() { im.Trivial(x, rhs) }); n != 0 {
+			t.Fatalf("reused Trivial(%v → %v) allocates %.1f times per call", x, rhs, n)
+		}
+	}
+}

@@ -57,7 +57,9 @@ type Backend interface {
 }
 
 // Evaluator answers candidate-validation queries for one pattern against
-// one literal pool. X arguments are indexes into the pool.
+// one literal pool. X arguments are sorted indexes into the pool, held in
+// the driver's reused scratch: implementations read them during the call
+// and must not retain them.
 type Evaluator interface {
 	// Violated reports whether some match satisfies all of X but not l:
 	// G ⊭ Q[x̄](X → pool[l]).

@@ -62,6 +62,14 @@ type miner struct {
 	negKeys  map[string]bool
 	posKeys  map[string]bool
 	budget   int // remaining candidate budget; -1 = unlimited
+
+	// literalTree scratch: the triviality and reduction checker, the
+	// current and next frontiers, the minimal valid X sets, and the
+	// candidate's literals.
+	imp             core.Implier
+	frontier, next  []int
+	valid, validEnd []int
+	lits            []core.Literal
 }
 
 func mineWithBackend(b Backend, prof *Profile, opts Options, res *Result) {
@@ -348,44 +356,57 @@ func (m *miner) hspawn(pn *patNode) {
 }
 
 // literalTree grows the literal tree rooted at RHS literal pool[li].
+// Level j holds X sets of j pool indexes, so each frontier is one flat run
+// with stride j; the frontiers, the minimal valid sets and the literal
+// buffer of the triviality test are miner scratch, reused across trees.
+// The next frontier is built only when level j+1 will run, and a GFD is
+// built only for a verified, frequent candidate.
 func (m *miner) literalTree(pn *patNode, ev Evaluator, pool []core.Literal, li int) {
-	type xset []int // sorted pool indexes
-	frontier := []xset{{}}
-	var minimalValid []xset // X sets with G ⊨ Q(X → l): children are non-reduced
+	rhs := pool[li]
+	frontier, next := m.frontier[:0], m.next[:0]
+	count := 1 // level 0 holds the empty X
+	// The X sets with G ⊨ Q(X → l), whose children are non-reduced, laid
+	// end to end: set v is valid[validEnd[v-1]:validEnd[v]].
+	m.valid, m.validEnd = m.valid[:0], m.validEnd[:0]
+	defer func() { m.frontier, m.next = frontier, next }()
 
-	subsumed := func(x xset) bool {
-		for _, v := range minimalValid {
-			if isSubset(v, x) {
+	subsumed := func(x []int) bool {
+		lo := 0
+		for _, hi := range m.validEnd {
+			if isSubset(m.valid[lo:hi], x) {
 				return true
 			}
+			lo = hi
 		}
 		return false
 	}
 
-	for j := 0; j <= m.opts.MaxX && len(frontier) > 0; j++ {
-		var next []xset
-		for _, x := range frontier {
+	for j := 0; j <= m.opts.MaxX && count > 0; j++ {
+		next = next[:0]
+		nextCount := 0
+		// expand extends X with literals above its maximum index (each
+		// subset is generated exactly once), unless level j is the last.
+		expand := func(x []int) {
+			if j == m.opts.MaxX {
+				return
+			}
+			base := -1
+			if len(x) > 0 {
+				base = x[len(x)-1]
+			}
+			for nj := base + 1; nj < len(pool); nj++ {
+				if nj != li {
+					next = append(append(next, x...), nj)
+					nextCount++
+				}
+			}
+		}
+		for c := 0; c < count; c++ {
+			x := frontier[c*j : (c+1)*j : (c+1)*j]
 			m.res.Stats.CandidatesSpawned++
 			if m.budget == 0 {
 				m.res.Stats.BudgetExhausted = true
 				return
-			}
-			expand := func() {
-				// Extend X with literals above its maximum index (each
-				// subset is generated exactly once).
-				base := -1
-				if len(x) > 0 {
-					base = x[len(x)-1]
-				}
-				for nj := base + 1; nj < len(pool); nj++ {
-					if nj == li {
-						continue
-					}
-					nx := make(xset, len(x), len(x)+1)
-					copy(nx, x)
-					nx = append(nx, nj)
-					next = append(next, nx)
-				}
 			}
 			sub := subsumed(x)
 			if sub && !m.opts.DisablePruning {
@@ -394,8 +415,11 @@ func (m *miner) literalTree(pn *patNode, ev Evaluator, pool []core.Literal, li i
 				m.res.Stats.CandidatesPruned++
 				continue
 			}
-			phi := core.New(pn.p, literalsOf(pool, x), pool[li])
-			if phi.Trivial() {
+			m.lits = m.lits[:0]
+			for _, xj := range x {
+				m.lits = append(m.lits, pool[xj])
+			}
+			if m.imp.Trivial(m.lits, rhs) {
 				// Lemma 4(a): trivial GFDs (unsatisfiable X, or RHS derived
 				// by transitivity) are never emitted; extensions of an
 				// unsatisfiable X stay unsatisfiable and extensions of a
@@ -403,7 +427,7 @@ func (m *miner) literalTree(pn *patNode, ev Evaluator, pool []core.Literal, li i
 				// unless pruning is disabled (ParGFDn explores it anyway).
 				m.res.Stats.CandidatesPruned++
 				if m.opts.DisablePruning {
-					expand()
+					expand(x)
 				}
 				continue
 			}
@@ -413,7 +437,8 @@ func (m *miner) literalTree(pn *patNode, ev Evaluator, pool []core.Literal, li i
 			}
 			if !ev.Violated(x, li) {
 				if !sub {
-					minimalValid = append(minimalValid, x)
+					m.valid = append(m.valid, x...)
+					m.validEnd = append(m.validEnd, len(m.valid))
 					supp := ev.SupportXl(x, li)
 					if supp >= m.opts.Support {
 						// NHSpawn's bases need only be verified and
@@ -421,6 +446,7 @@ func (m *miner) literalTree(pn *patNode, ev Evaluator, pool []core.Literal, li i
 						// minimality), so it fires before the reduction
 						// test that gates Σ membership.
 						m.nhspawn(pn, ev, pool, x, supp)
+						phi := core.New(pn.p, literalsOf(pool, x), rhs)
 						if !m.reducedBy(phi) {
 							m.emitPositive(phi, supp, pn)
 						} else {
@@ -433,13 +459,13 @@ func (m *miner) literalTree(pn *patNode, ev Evaluator, pool []core.Literal, li i
 				// Verified: children are non-reduced either way (Lemma
 				// 4(b)); only the unpruned baseline keeps going.
 				if m.opts.DisablePruning {
-					expand()
+					expand(x)
 				}
 				continue
 			}
-			expand()
+			expand(x)
 		}
-		frontier = next
+		frontier, next, count = next, frontier, nextCount
 	}
 }
 
@@ -472,11 +498,10 @@ func (m *miner) nhspawn(pn *patNode, ev Evaluator, pool []core.Literal, x []int,
 			continue
 		}
 		nx := append(literalsOf(pool, x), l)
-		phi := core.New(pn.p, nx, core.False())
-		if phi.Trivial() {
+		if m.imp.Trivial(nx, core.False()) {
 			continue
 		}
-		m.emitNegative(phi, baseSupp, pn.level)
+		m.emitNegative(core.New(pn.p, nx, core.False()), baseSupp, pn.level)
 	}
 }
 
@@ -515,7 +540,7 @@ func (m *miner) emitNegative(phi *core.GFD, baseSupp, level int) {
 // so attribute names and constants must agree.
 func (m *miner) reducedBy(phi *core.GFD) bool {
 	for _, psi := range m.posByRHS[rhsSignature(phi.RHS)] {
-		if psi.Size() <= phi.Size() && psi.K() <= phi.K() && core.Reduces(psi, phi) {
+		if psi.Size() <= phi.Size() && psi.K() <= phi.K() && m.imp.Reduces(psi, phi) {
 			return true
 		}
 	}

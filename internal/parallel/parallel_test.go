@@ -282,6 +282,31 @@ func TestParCoverEquivalence(t *testing.T) {
 	}
 }
 
+// TestParCoverConcurrentWorkers: grouped ParImp with its workers running
+// as goroutines, each chasing on its own Implier over patterns they all
+// read, returns SeqCover's cover. Run it under -race.
+func TestParCoverConcurrentWorkers(t *testing.T) {
+	g := rulesGraph(8)
+	res := discovery.Mine(g, discovery.Options{K: 3, Support: 4, WildcardNodes: true})
+	generated := dataset.GenGFDs(dataset.YAGO2Sim(100, 5), dataset.GFDGenConfig{Count: 300, K: 3, Seed: 17})
+	for _, tc := range []struct {
+		sigma []*core.GFD
+		tree  map[string][]string
+	}{{res.All(), res.Tree}, {generated, nil}} {
+		want := coverKeys(discovery.Cover(tc.sigma))
+		eng := cluster.New(cluster.Config{Workers: 4, Mode: cluster.Concurrent})
+		got := coverKeys(Cover(tc.sigma, tc.tree, eng, CoverOptions{Grouping: true}).Cover)
+		if len(got) != len(want) {
+			t.Fatalf("|Σ|=%d: cover sizes differ: seq=%d par=%d", len(tc.sigma), len(want), len(got))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("|Σ|=%d: cover differs at %d: %s vs %s", len(tc.sigma), i, want[i], got[i])
+			}
+		}
+	}
+}
+
 func TestParCovernSlowerThanParCover(t *testing.T) {
 	// Grouping pays off at scale (the paper's Fig. 5(i)-(l) settings run
 	// |Σ| in the thousands): use a generated rule set like Fig. 5(l) does.

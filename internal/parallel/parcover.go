@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/discovery"
 	"repro/internal/pattern"
 )
 
@@ -67,12 +68,15 @@ func Cover(sigma []*core.GFD, tree map[string][]string, eng *cluster.Engine, opt
 	})
 
 	// ParImp: each worker removes redundant GFDs within its groups,
-	// testing against the group's embedded set only (Lemma 6).
+	// testing against the group's embedded set only (Lemma 6). Every
+	// worker chases on its own Implier: its embedding memo is not safe for
+	// concurrent use.
 	kept := make([][]*core.GFD, n)
 	eng.Superstep("ParImp", func(w int) {
+		var im core.Implier
 		var out []*core.GFD
 		for _, g := range assign[w] {
-			out = append(out, parImp(g)...)
+			out = append(out, parImp(g, &im)...)
 			eng.Ship(w, int64(64*len(g.embbed))) // receive the group's Σ̄Qj
 		}
 		kept[w] = out
@@ -177,27 +181,22 @@ func buildGroups(sigma []*core.GFD, tree map[string][]string) []*group {
 // parImp removes the redundant GFDs of one group: for each φ ∈ ΣQj it
 // tests Σ̄Qj \ {φ} ⊨ φ, dropping φ if implied, sequentially within the
 // group (most specific first, matching SeqCover's order). The embedded set
-// is precomputed per group, so the closure is chased directly without the
-// per-test EmbeddedIn scan of the naive algorithm.
-func parImp(g *group) []*core.GFD {
+// is precomputed per group, so each test chases only Σ̄Qj, without the
+// naive algorithm's scan of the whole Σ, and im enumerates each pattern
+// pair's embeddings once across the worker's groups.
+func parImp(g *group, im *core.Implier) []*core.GFD {
 	own := append([]*core.GFD(nil), g.own...)
-	sort.SliceStable(own, func(i, j int) bool {
-		a, b := own[i], own[j]
-		if len(a.X) != len(b.X) {
-			return len(a.X) > len(b.X)
-		}
-		return a.Key() > b.Key()
-	})
+	discovery.SortMostSpecificFirst(own)
 	removed := make(map[*core.GFD]bool)
+	rest := make([]*core.GFD, 0, len(g.embbed))
 	for _, phi := range own {
-		rest := make([]*core.GFD, 0, len(g.embbed)-1)
+		rest = rest[:0]
 		for _, psi := range g.embbed {
 			if psi != phi && !removed[psi] {
 				rest = append(rest, psi)
 			}
 		}
-		cl := core.ComputeClosure(rest, phi.Q, phi.X)
-		if cl.Conflicting() || (phi.RHS.Kind != core.LFalse && cl.Holds(phi.RHS)) {
+		if im.Implies(rest, phi) {
 			removed[phi] = true
 		}
 	}
@@ -255,16 +254,7 @@ func coverNoGrouping(sigma []*core.GFD, eng *cluster.Engine) *CoverResult {
 		// Re-adds can leave the set non-minimal (a later re-add may imply
 		// an earlier one); a final sequential minimisation pass restores
 		// minimality — more master-side work the grouped algorithm avoids.
-		sort.SliceStable(kept, func(i, j int) bool {
-			a, b := kept[i], kept[j]
-			if a.Size() != b.Size() {
-				return a.Size() > b.Size()
-			}
-			if len(a.X) != len(b.X) {
-				return len(a.X) > len(b.X)
-			}
-			return a.Key() > b.Key()
-		})
+		discovery.SortMostSpecificFirst(kept)
 		for i := 0; i < len(kept); i++ {
 			rest := make([]*core.GFD, 0, len(kept)-1)
 			rest = append(rest, kept[:i]...)

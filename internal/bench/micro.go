@@ -408,6 +408,40 @@ func MicroSpecs() []MicroSpec {
 				}
 			}
 		}},
+		{"HSpawn/mine-level2", func(b *testing.B) {
+			// Two levels over DBpediaSim, whose Γ columns are all dense: the
+			// literal lattice of the 2-edge patterns dominates, so candidate
+			// validation and support counting carry the time.
+			g := dataset.DBpediaSim(150, 42)
+			opts := discovery.Options{
+				K: 3, Support: 12, ConstantsPerAttr: 5, MaxX: 1,
+				MaxLevels: 2, MaxNegatives: 200,
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if len(discovery.Mine(g, opts).Positives) == 0 {
+					b.Fatal("no GFDs mined")
+				}
+			}
+		}},
+		{"HSpawn/mine-level1-yago2", func(b *testing.B) {
+			// One level over YAGO2Sim, where two Γ columns (genre, type) are
+			// sparse: their literals read columns the miner projects to the
+			// dense layout once per run.
+			g := dataset.YAGO2Sim(300, 1)
+			opts := discovery.Options{
+				K: 2, Support: 10, ConstantsPerAttr: 5, MaxX: 1,
+				MaxLevels: 1, MaxNegatives: 200,
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if len(discovery.Mine(g, opts).Positives) == 0 {
+					b.Fatal("no GFDs mined")
+				}
+			}
+		}},
 		{"MatchesAt", func(b *testing.B) {
 			e := microWorkload()
 			var cands []graph.NodeID

@@ -2,7 +2,6 @@ package discovery
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,7 +96,13 @@ type SeqBackend struct {
 	maxRows  int
 	stats    *Stats
 	liveRows int
-	vc       *ValueCounter // reusable constant-count scratch (Constants is driver-serial)
+	cols     *Columns // Γ columns, resolved on first use
+	// Reusable scratches: constant counts, pivot counts and the compiled
+	// pool, which NewTableEval does not retain (Constants, Evaluate and
+	// the evaluator's queries are driver-serial).
+	vc       *ValueCounter
+	pc       *PivotCounter
+	compiled []eval.CompiledLiteral
 }
 
 // NewSeqBackend returns a sequential backend over v. maxRows caps match
@@ -109,7 +114,7 @@ func NewSeqBackend(v graph.View, maxRows int, stats *Stats) *SeqBackend {
 		// reader until finalized.
 		g.Finalize()
 	}
-	return &SeqBackend{v: v, maxRows: maxRows, stats: stats}
+	return &SeqBackend{v: v, maxRows: maxRows, stats: stats, cols: NewColumns(v)}
 }
 
 // View exposes the matching surface the backend runs against.
@@ -287,17 +292,14 @@ func (b *SeqBackend) Release(h Handle) {
 }
 
 // Constants implements Backend: every (variable, attribute) pair is one
-// column scan counting ValueIDs into a shared dense scratch (constants.go)
-// — the attribute columns resolve once per call, and the only maps left
-// are the two symbol lookups per gamma entry.
+// scan of the table's column against the attribute's resolved column,
+// counting ValueIDs into a shared dense scratch (constants.go).
 func (b *SeqBackend) Constants(h Handle, nvars int, gamma []string, max int) [][]string {
 	t := h.(*seqHandle).table
 	out := make([][]string, nvars*len(gamma))
 	cols := make([]graph.AttrColumn, len(gamma))
 	for ai, attr := range gamma {
-		if aid, ok := b.v.LookupAttr(attr); ok {
-			cols[ai] = b.v.AttrColumn(aid)
-		}
+		cols[ai] = b.cols.Column(attr)
 	}
 	if b.vc == nil {
 		b.vc = NewValueCounter(b.v.NumValues())
@@ -313,59 +315,27 @@ func (b *SeqBackend) Constants(h Handle, nvars int, gamma []string, max int) [][
 	return out
 }
 
-// ObservedConstantCounts returns the frequency of each value of attr at
-// variable v over the table's rows, as strings. It is the map-based
-// reference form of ObservedValueCounts (constants.go), retained for
-// differential tests and one-off callers; the backends count ValueIDs
-// into a dense scratch instead.
-func ObservedConstantCounts(g graph.View, t *match.Table, v int, attr string) map[string]int {
-	counts := make(map[string]int)
-	for _, node := range t.Col(v) {
-		if val, ok := g.Attr(node, attr); ok {
-			counts[val]++
-		}
-	}
-	return counts
-}
-
-// TopConstants returns the up-to-max most frequent values in counts,
-// ordered by descending count then value — the reference form of
-// ValueCounter.Top, kept alongside ObservedConstantCounts.
-func TopConstants(counts map[string]int, max int) []string {
-	vals := make([]string, 0, len(counts))
-	for val := range counts {
-		vals = append(vals, val)
-	}
-	sort.Slice(vals, func(i, j int) bool {
-		ci, cj := counts[vals[i]], counts[vals[j]]
-		if ci != cj {
-			return ci > cj
-		}
-		return vals[i] < vals[j]
-	})
-	if len(vals) > max {
-		vals = vals[:max]
-	}
-	return vals
-}
-
 // Evaluate implements Backend.
 func (b *SeqBackend) Evaluate(h Handle, pool []core.Literal) Evaluator {
-	return NewTableEval(b.v, h.(*seqHandle).table, pool)
+	if b.pc == nil {
+		b.pc = NewPivotCounter(b.v.NumNodes())
+	}
+	b.compiled = b.cols.Compile(b.compiled, pool)
+	return NewTableEval(b.cols, h.(*seqHandle).table, b.compiled, b.pc)
 }
 
 // TableEval indexes literal satisfaction per match row as bitsets and
 // answers validation queries in O(rows/64) words. It is the per-worker
 // evaluation unit: the sequential backend uses one over the whole table,
-// the parallel backend one per fragment.
+// the parallel backend one per worker's part.
 type TableEval struct {
-	g      graph.View
+	cols   *Columns
 	t      *match.Table
 	pivots []graph.NodeID // the table's pivot column (shared storage)
 	sat    []Bitset       // per pool literal
 	full   Bitset         // all rows
-	buf    Bitset         // scratch for AND(X)
-	pool   []core.Literal
+	buf    Bitset         // scratch for AND(X) with |X| ≥ 2, made on first use
+	pc     *PivotCounter  // distinct-pivot scratch of SupportXl and SupportX
 	// attrPresent caches attribute presence per (variable, attribute).
 	attrPresent map[attrKey]bool
 }
@@ -375,34 +345,48 @@ type attrKey struct {
 	attr string
 }
 
-// NewTableEval builds the satisfaction index of pool over the columnar
-// table t. Each literal's bitset is filled by a column scan (eval.SatRows);
-// the pivot column is shared with the table, not copied. It evaluates
-// against any graph.View: ParDis workers pass their fragment views.
-func NewTableEval(g graph.View, t *match.Table, pool []core.Literal) *TableEval {
+// NewTableEval builds the satisfaction index of a compiled pool over the
+// columnar table t: one column scan per literal (CompiledLiteral.SatRows),
+// with the pivot column shared with the table, not copied. The pool is
+// read only during the call. cols must be the Columns the pool was
+// compiled against; AttrPresent reads them. pc may be shared by
+// evaluators whose queries never run concurrently.
+func NewTableEval(cols *Columns, t *match.Table, pool []eval.CompiledLiteral, pc *PivotCounter) *TableEval {
 	n := t.Len()
+	words := (n + 63) / 64
+	// One allocation: a bitmap per literal, then the all-rows bitmap.
+	backing := make(Bitset, words*(len(pool)+1))
 	e := &TableEval{
-		g:           g,
-		t:           t,
-		pivots:      t.PivotCol(),
-		sat:         make([]Bitset, len(pool)),
-		full:        NewBitset(n),
-		buf:         NewBitset(n),
-		pool:        pool,
-		attrPresent: make(map[attrKey]bool),
+		cols:   cols,
+		t:      t,
+		pivots: t.PivotCol(),
+		sat:    make([]Bitset, len(pool)),
+		full:   backing[len(pool)*words:],
+		pc:     pc,
 	}
 	e.full.Fill(n)
-	for j, l := range pool {
-		e.sat[j] = NewBitset(n)
-		eval.SatRows(g, t, l, e.sat[j].Set)
+	for j := range pool {
+		e.sat[j] = backing[j*words : (j+1)*words : (j+1)*words]
+		pool[j].SatRows(t, e.sat[j].Set)
 	}
 	return e
 }
 
-// andX computes AND over the X bitmaps into the scratch buffer.
+// andX returns AND over the X bitmaps. The result may alias the index
+// (all rows for an empty X, the literal's own bitmap for a single one),
+// so callers only read it.
 func (e *TableEval) andX(x []int) Bitset {
-	e.buf.CopyFrom(e.full)
-	for _, j := range x {
+	switch len(x) {
+	case 0:
+		return e.full
+	case 1:
+		return e.sat[x[0]]
+	}
+	if e.buf == nil {
+		e.buf = make(Bitset, len(e.full))
+	}
+	e.buf.CopyFrom(e.sat[x[0]])
+	for _, j := range x[1:] {
 		e.buf.AndWith(e.sat[j])
 	}
 	return e.buf
@@ -413,75 +397,66 @@ func (e *TableEval) Violated(x []int, l int) bool {
 	return e.andX(x).AnyAndNot(e.sat[l])
 }
 
-// PivotsXl returns the distinct pivots of rows satisfying X ∧ l — the
-// local support set a ParDis worker ships to the master.
-func (e *TableEval) PivotsXl(x []int, l int) map[graph.NodeID]struct{} {
-	seen := make(map[graph.NodeID]struct{})
-	e.ForEachPivotXl(x, l, func(v graph.NodeID) { seen[v] = struct{}{} })
-	return seen
+// AddPivotsXl adds to pc the pivots of rows satisfying X ∧ l — the local
+// support set a ParDis worker ships to the master.
+func (e *TableEval) AddPivotsXl(x []int, l int, pc *PivotCounter) {
+	e.andX(x).ForEachAnd(e.sat[l], func(i int) { pc.Add(e.pivots[i]) })
 }
 
-// ForEachPivotXl streams the pivots (with row-level repeats) of rows
-// satisfying X ∧ l; the caller deduplicates. Avoids per-call allocation on
-// the parallel hot path.
-func (e *TableEval) ForEachPivotXl(x []int, l int, fn func(graph.NodeID)) {
-	ax := e.andX(x)
-	ax.ForEachAnd(e.sat[l], func(i int) { fn(e.pivots[i]) })
-}
-
-// PivotsX returns the distinct pivots of rows satisfying X.
-func (e *TableEval) PivotsX(x []int) map[graph.NodeID]struct{} {
-	seen := make(map[graph.NodeID]struct{})
-	e.ForEachPivotX(x, func(v graph.NodeID) { seen[v] = struct{}{} })
-	return seen
-}
-
-// ForEachPivotX streams the pivots of rows satisfying X.
-func (e *TableEval) ForEachPivotX(x []int, fn func(graph.NodeID)) {
-	ax := e.andX(x)
-	ax.ForEach(func(i int) { fn(e.pivots[i]) })
+// AddPivotsX adds to pc the pivots of rows satisfying X.
+func (e *TableEval) AddPivotsX(x []int, pc *PivotCounter) {
+	e.andX(x).ForEach(func(i int) { pc.Add(e.pivots[i]) })
 }
 
 // SupportXl implements Evaluator.
-func (e *TableEval) SupportXl(x []int, l int) int { return len(e.PivotsXl(x, l)) }
+func (e *TableEval) SupportXl(x []int, l int) int {
+	e.pc.Reset()
+	e.AddPivotsXl(x, l, e.pc)
+	return e.pc.Len()
+}
 
 // SupportX implements Evaluator.
-func (e *TableEval) SupportX(x []int) int { return len(e.PivotsX(x)) }
+func (e *TableEval) SupportX(x []int) int {
+	e.pc.Reset()
+	e.AddPivotsX(x, e.pc)
+	return e.pc.Len()
+}
 
 // CoHolds implements Evaluator.
 func (e *TableEval) CoHolds(x []int) []bool {
-	ax := e.andX(x)
 	out := make([]bool, len(e.sat))
-	for j := range e.sat {
-		out[j] = ax.AnyAnd(e.sat[j])
-	}
+	e.OrCoHolds(x, out)
 	return out
 }
 
-// AttrPresent implements Evaluator: an interned column scan that stops at
-// the first carrying node (an attribute carried by no node at all skips
-// the scan outright).
+// OrCoHolds sets out[j] for every pool literal j that holds together with
+// X on some row, leaving the other entries as they are: the master ORs
+// the workers' flags into one slice.
+func (e *TableEval) OrCoHolds(x []int, out []bool) {
+	ax := e.andX(x)
+	for j := range e.sat {
+		if ax.AnyAnd(e.sat[j]) {
+			out[j] = true
+		}
+	}
+}
+
+// AttrPresent implements Evaluator: a scan of the variable's column that
+// stops at the first node carrying the attribute.
 func (e *TableEval) AttrPresent(v int, attr string) bool {
 	key := attrKey{v, attr}
 	if p, ok := e.attrPresent[key]; ok {
 		return p
 	}
+	if e.attrPresent == nil {
+		e.attrPresent = make(map[attrKey]bool)
+	}
 	present := false
-	if aid, ok := e.g.LookupAttr(attr); ok {
-		col := e.g.AttrColumn(aid)
-		if d := col.Dense(); d != nil {
-			for _, node := range e.t.Col(v) {
-				if d[node] != graph.NoValue {
-					present = true
-					break
-				}
-			}
-		} else if col.Len() > 0 {
-			for _, node := range e.t.Col(v) {
-				if col.ValueAt(node) != graph.NoValue {
-					present = true
-					break
-				}
+	if d := e.cols.Column(attr).Dense(); d != nil {
+		for _, node := range e.t.Col(v) {
+			if d[node] != graph.NoValue {
+				present = true
+				break
 			}
 		}
 	}

@@ -78,16 +78,16 @@ func (c *ValueCounter) Reset() {
 	c.touched = c.touched[:0]
 }
 
-// Drain returns the accumulated (value, count) pairs in first-observed
-// order and resets the counter.
-func (c *ValueCounter) Drain() []ValueCount {
-	out := make([]ValueCount, len(c.touched))
-	for i, val := range c.touched {
-		out[i] = ValueCount{Val: val, N: c.counts[val]}
+// Drain appends the accumulated (value, count) pairs to dst in
+// first-observed order, resets the counter, and returns the extended
+// slice.
+func (c *ValueCounter) Drain(dst []ValueCount) []ValueCount {
+	for _, val := range c.touched {
+		dst = append(dst, ValueCount{Val: val, N: c.counts[val]})
 		c.counts[val] = 0
 	}
 	c.touched = c.touched[:0]
-	return out
+	return dst
 }
 
 // Top returns the up-to-max most frequent accumulated values as strings,
@@ -116,8 +116,8 @@ func (c *ValueCounter) Top(max int, name func(graph.ValueID) string) []string {
 }
 
 // ObservedValueCounts counts, via the reusable counter, the interned
-// values of attr at variable v over the table's rows. This is the hot-path
-// form of ObservedConstantCounts: no map, no strings, one column scan.
+// values of attr at variable v over the table's rows: no map, no strings,
+// one column scan.
 func ObservedValueCounts(g graph.View, t *match.Table, v int, attr string, c *ValueCounter) {
 	aid, ok := g.LookupAttr(attr)
 	if !ok {

@@ -3,6 +3,7 @@ package discovery
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/dataset"
@@ -10,6 +11,41 @@ import (
 	"repro/internal/match"
 	"repro/internal/pattern"
 )
+
+// ObservedConstantCounts returns the frequency of each value of attr at
+// variable v over the table's rows, as strings: the map-based reference
+// form of ObservedValueCounts that the tests below check the backends'
+// interned counting against.
+func ObservedConstantCounts(g graph.View, t *match.Table, v int, attr string) map[string]int {
+	counts := make(map[string]int)
+	for _, node := range t.Col(v) {
+		if val, ok := g.Attr(node, attr); ok {
+			counts[val]++
+		}
+	}
+	return counts
+}
+
+// TopConstants returns the up-to-max most frequent values in counts,
+// ordered by descending count then value: the reference form of
+// ValueCounter.Top.
+func TopConstants(counts map[string]int, max int) []string {
+	vals := make([]string, 0, len(counts))
+	for val := range counts {
+		vals = append(vals, val)
+	}
+	sort.Slice(vals, func(i, j int) bool {
+		ci, cj := counts[vals[i]], counts[vals[j]]
+		if ci != cj {
+			return ci > cj
+		}
+		return vals[i] < vals[j]
+	})
+	if len(vals) > max {
+		vals = vals[:max]
+	}
+	return vals
+}
 
 // TestConstantsDifferential checks the interned constant-collection path
 // (ValueCounter over attribute columns) against the retained map-based
@@ -40,7 +76,7 @@ func TestConstantsDifferential(t *testing.T) {
 			}
 			// Pairwise counts, not just the ranked heads.
 			ObservedValueCounts(g, tab, v, attr, vc)
-			pairs := vc.Drain()
+			pairs := vc.Drain(nil)
 			if len(pairs) != len(ref) {
 				t.Fatalf("x%d.%s: %d interned counts vs %d reference counts", v, attr, len(pairs), len(ref))
 			}
@@ -62,11 +98,11 @@ func TestValueCounterReuse(t *testing.T) {
 	vc.Add(1, 3)
 	vc.Add(5, 2) // beyond initial size: must grow
 	vc.Add(1, 1)
-	pairs := vc.Drain()
+	pairs := vc.Drain(nil)
 	if len(pairs) != 2 || pairs[0] != (ValueCount{Val: 1, N: 4}) || pairs[1] != (ValueCount{Val: 5, N: 2}) {
 		t.Fatalf("Drain = %v", pairs)
 	}
-	if again := vc.Drain(); len(again) != 0 {
+	if again := vc.Drain(nil); len(again) != 0 {
 		t.Fatalf("Drain after Drain = %v, want empty", again)
 	}
 
@@ -111,7 +147,7 @@ func TestConstantsParallelMatchesSequential(t *testing.T) {
 			var shipped [][]ValueCount
 			for _, part := range parts {
 				ObservedValueCounts(g, part, v, attr, vc)
-				shipped = append(shipped, vc.Drain())
+				shipped = append(shipped, vc.Drain(nil))
 			}
 			for _, pairs := range shipped {
 				for _, pc := range pairs {

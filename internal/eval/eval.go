@@ -35,22 +35,28 @@ type CompiledLiteral struct {
 // cheap (two symbol-table lookups); pools compile each literal once and
 // evaluate it over every row.
 func CompileLiteral(v graph.View, l core.Literal) CompiledLiteral {
+	return CompileLiteralCols(v, l, func(attr string) graph.AttrColumn {
+		if aid, ok := v.LookupAttr(attr); ok {
+			return v.AttrColumn(aid)
+		}
+		return graph.AttrColumn{}
+	})
+}
+
+// CompileLiteralCols is CompileLiteral with the attribute columns supplied
+// by col, which must return the column of attr over v's node store (the
+// zero column when no node carries it). Discovery passes columns it has
+// projected to the dense layout, so every row read is a direct index.
+func CompileLiteralCols(v graph.View, l core.Literal, col func(attr string) graph.AttrColumn) CompiledLiteral {
 	cl := CompiledLiteral{kind: l.Kind, x: l.X, y: l.Y, c: graph.NoValue}
 	switch l.Kind {
 	case core.LConst:
-		if aid, ok := v.LookupAttr(l.A); ok {
-			cl.a = v.AttrColumn(aid)
-		}
+		cl.a = col(l.A)
 		if val, ok := v.LookupValue(l.C); ok {
 			cl.c = val
 		}
 	case core.LVar:
-		if aid, ok := v.LookupAttr(l.A); ok {
-			cl.a = v.AttrColumn(aid)
-		}
-		if bid, ok := v.LookupAttr(l.B); ok {
-			cl.b = v.AttrColumn(bid)
-		}
+		cl.a, cl.b = col(l.A), col(l.B)
 	}
 	return cl
 }
@@ -121,13 +127,11 @@ func LiteralHolds(g *graph.Graph, m match.Match, l core.Literal) bool {
 
 // SatRows calls mark(r) for every row of the columnar table t whose match
 // satisfies l. It is the column-scan form of LiteralHolds: a constant
-// literal reads one attribute column, a variable literal two, so building
-// the per-literal satisfaction bitsets of discovery never materialises a
-// row — and since literals compile to (AttrID, ValueID) form, the scan
-// compares interned integers, never strings. It takes any graph.View —
-// literals read node attributes only, which fragment views share with
-// their base graph — so ParDis workers evaluate against their own fragment
-// views.
+// literal reads one attribute column, a variable literal two, so a
+// satisfaction bitset never materialises a row — and since literals
+// compile to (AttrID, ValueID) form, the scan compares interned integers,
+// never strings. It takes any graph.View; literals read node attributes
+// only, which fragment views share with their base graph.
 func SatRows(g graph.View, t *match.Table, l core.Literal, mark func(r int)) {
 	CompileLiteral(g, l).SatRows(t, mark)
 }

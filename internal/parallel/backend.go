@@ -11,6 +11,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/discovery"
+	"repro/internal/eval"
 	"repro/internal/graph"
 	"repro/internal/match"
 	"repro/internal/pattern"
@@ -91,11 +92,37 @@ type Backend struct {
 	// incremental join.
 	edgeCountCache map[graph.TripleKey]int64
 	tripleCount    map[graph.TripleKey]int
-	// Constant-count scratches, one per worker plus the master's, reused
-	// across Constants calls (Constants itself is driver-serial; within a
-	// superstep each worker touches only its own counter).
-	workerVC []*discovery.ValueCounter
-	masterVC *discovery.ValueCounter
+	// cols holds the Γ columns over the master's view, resolved on first
+	// use and shared read-only by every worker: fragments share the base
+	// graph's node store, attribute plane and symbol pools. compiled is
+	// the reusable storage of the pool Evaluate compiles for its index
+	// superstep.
+	cols     *discovery.Columns
+	compiled []eval.CompiledLiteral
+	// Counting scratches, one per worker plus the master's, made on first
+	// use and reused across calls (the calls are driver-serial; within a
+	// superstep each worker touches only its own).
+	workerScratch []countScratch
+	masterScratch countScratch
+}
+
+// countScratch is one party's reusable counting state. A worker lays
+// what it ships out flat: runs[i] closes the i-th run (slot or pattern)
+// of counts or pivots.
+type countScratch struct {
+	vc     *discovery.ValueCounter
+	pc     *discovery.PivotCounter
+	counts []discovery.ValueCount // observed (value, count) pairs per slot
+	pivots []graph.NodeID         // distinct local pivots per pattern
+	runs   []int
+}
+
+// run returns the bounds of run i.
+func (s *countScratch) run(i int) (lo, hi int) {
+	if i > 0 {
+		lo = s.runs[i-1]
+	}
+	return lo, s.runs[i]
 }
 
 // NewBackend builds a ParDis backend over v fragmented across eng's
@@ -137,6 +164,7 @@ func newBackend(v graph.View, eng *cluster.Engine, frags []Fragment, opts Option
 		ctx:            context.Background(),
 		edgeCountCache: make(map[graph.TripleKey]int64),
 		tripleCount:    gstats.TripleCount,
+		cols:           discovery.NewColumns(v),
 	}
 	n := eng.Workers()
 	b.workerViews = make([][]graph.View, n)
@@ -606,38 +634,59 @@ func (b *Backend) rebalanceBatch(hs []*parHandle, skip []bool) {
 	})
 }
 
+// scratch returns the workers' and the master's counting scratches,
+// making them on first use.
+func (b *Backend) scratch() ([]countScratch, *countScratch) {
+	if b.workerScratch == nil {
+		b.workerScratch = make([]countScratch, b.n())
+		for w := range b.workerScratch {
+			b.workerScratch[w] = countScratch{
+				vc: discovery.NewValueCounter(b.g.NumValues()),
+				pc: discovery.NewPivotCounter(b.g.NumNodes()),
+			}
+		}
+		b.masterScratch = countScratch{
+			vc: discovery.NewValueCounter(b.g.NumValues()),
+			pc: discovery.NewPivotCounter(b.g.NumNodes()),
+		}
+	}
+	return b.workerScratch, &b.masterScratch
+}
+
 // aggregateSupports computes supp(Q, G) = |Q(G, z)| for every pattern in
-// the batch: each worker builds its local pivot sets and ships them; the
-// master unions them (summing would double-count pivots matched in several
-// fragments).
+// the batch: each worker collects its distinct local pivots per pattern
+// and ships them; the master unions them (summing would double-count
+// pivots matched in several fragments).
 func (b *Backend) aggregateSupports(hs []*parHandle) []int {
-	locals := make([][]map[graph.NodeID]struct{}, b.n())
+	scratch, master := b.scratch()
 	b.eng.Superstep("support level", func(w int) {
-		sets := make([]map[graph.NodeID]struct{}, len(hs))
-		shipped := 0
-		for i, h := range hs {
-			set := make(map[graph.NodeID]struct{})
+		s := &scratch[w]
+		s.pivots, s.runs = s.pivots[:0], s.runs[:0]
+		for _, h := range hs {
+			s.pc.Reset()
 			if h.parts != nil {
 				for _, v := range h.parts[w].PivotCol() {
-					set[v] = struct{}{}
+					if s.pc.Add(v) {
+						s.pivots = append(s.pivots, v)
+					}
 				}
 			}
-			sets[i] = set
-			shipped += len(set)
+			s.runs = append(s.runs, len(s.pivots))
 		}
-		locals[w] = sets
-		b.eng.Ship(w, int64(4*shipped))
+		b.eng.Ship(w, int64(4*len(s.pivots)))
 	})
 	out := make([]int, len(hs))
 	b.eng.Master("support union", func() {
+		pc := master.pc
 		for i := range hs {
-			union := make(map[graph.NodeID]struct{})
-			for w := 0; w < b.n(); w++ {
-				for v := range locals[w][i] {
-					union[v] = struct{}{}
+			pc.Reset()
+			for w := range scratch {
+				lo, hi := scratch[w].run(i)
+				for _, v := range scratch[w].pivots[lo:hi] {
+					pc.Add(v)
 				}
 			}
-			out[i] = len(union)
+			out[i] = pc.Len()
 		}
 	})
 	return out
@@ -662,62 +711,54 @@ func (b *Backend) Constants(h discovery.Handle, nvars int, gamma []string, max i
 	slots := nvars * len(gamma)
 	cols := make([]graph.AttrColumn, len(gamma))
 	for ai, attr := range gamma {
-		if aid, ok := b.g.LookupAttr(attr); ok {
-			cols[ai] = b.g.AttrColumn(aid)
-		}
+		cols[ai] = b.cols.Column(attr)
 	}
-	if b.workerVC == nil {
-		b.workerVC = make([]*discovery.ValueCounter, b.n())
-		for w := range b.workerVC {
-			b.workerVC[w] = discovery.NewValueCounter(b.g.NumValues())
-		}
-		b.masterVC = discovery.NewValueCounter(b.g.NumValues())
-	}
-	locals := make([][][]discovery.ValueCount, b.n())
+	scratch, master := b.scratch()
 	b.eng.Superstep("constants", func(w int) {
-		vc := b.workerVC[w]
-		counts := make([][]discovery.ValueCount, slots)
-		shipped := 0
+		s := &scratch[w]
+		s.counts, s.runs = s.counts[:0], s.runs[:0]
 		for v := 0; v < nvars; v++ {
 			col := ph.parts[w].Col(v)
 			for ai := range gamma {
-				vc.CountColumn(cols[ai], col)
-				c := vc.Drain()
-				counts[v*len(gamma)+ai] = c
-				shipped += len(c)
+				s.vc.CountColumn(cols[ai], col)
+				s.counts = s.vc.Drain(s.counts)
+				s.runs = append(s.runs, len(s.counts))
 			}
 		}
-		locals[w] = counts
-		b.eng.Ship(w, int64(8*shipped)) // 4-byte ValueID + 4-byte count per pair
+		b.eng.Ship(w, int64(8*len(s.counts))) // 4-byte ValueID + 4-byte count per pair
 	})
 	out := make([][]string, slots)
 	b.eng.Master("constants merge", func() {
-		vc := b.masterVC
-		for s := 0; s < slots; s++ {
-			for w := 0; w < b.n(); w++ {
-				for _, p := range locals[w][s] {
+		vc := master.vc
+		for slot := 0; slot < slots; slot++ {
+			for w := range scratch {
+				lo, hi := scratch[w].run(slot)
+				for _, p := range scratch[w].counts[lo:hi] {
 					vc.Add(p.Val, p.N)
 				}
 			}
-			out[s] = vc.Top(max, b.g.ValueName)
+			out[slot] = vc.Top(max, b.g.ValueName)
 		}
 	})
 	return out
 }
 
 // Evaluate implements discovery.Backend: one TableEval per worker over its
-// fragment's rows; query results are aggregated masterside. Busy time is
-// accumulated per worker per call and charged as supersteps on Release
-// (one communication round per literal-tree level, matching the batched
-// candidate posting of ParDis).
+// part of the rows; query results are aggregated masterside. The pool is
+// compiled once, before the superstep, and every worker scans with the
+// same compiled literals. Busy time is accumulated per worker per call
+// and charged as supersteps on Release (one communication round per
+// literal-tree level, matching the batched candidate posting of ParDis).
 func (b *Backend) Evaluate(h discovery.Handle, pool []core.Literal) discovery.Evaluator {
 	ph := h.(*parHandle)
+	_, master := b.scratch()
 	pe := &parEvaluator{
 		b:     b,
 		pool:  pool,
 		evs:   make([]*discovery.TableEval, b.n()),
 		busy:  make([]time.Duration, b.n()),
 		share: make([]float64, b.n()),
+		union: master.pc,
 	}
 	total := ph.rows
 	for w := range pe.share {
@@ -727,11 +768,9 @@ func (b *Backend) Evaluate(h discovery.Handle, pool []core.Literal) discovery.Ev
 			pe.share[w] = 1 / float64(b.n())
 		}
 	}
+	b.compiled = b.cols.Compile(b.compiled, pool)
 	b.eng.Superstep("index "+ph.p.String(), func(w int) {
-		// Each worker indexes its rows against its own fragment view;
-		// literal evaluation reads node attributes, which every fragment
-		// shares with the base graph's node store.
-		pe.evs[w] = discovery.NewTableEval(b.frags[w].Sub, ph.parts[w], pool)
+		pe.evs[w] = discovery.NewTableEval(b.cols, ph.parts[w], b.compiled, pe.union)
 	})
 	return pe
 }
@@ -743,7 +782,7 @@ type parEvaluator struct {
 	evs    []*discovery.TableEval
 	busy   []time.Duration
 	rounds int
-	union  map[graph.NodeID]struct{} // reusable pivot-union scratch
+	union  *discovery.PivotCounter // the master's pivot union
 	// share[w] is worker w's fraction of the pattern's rows: per-call
 	// elapsed time is attributed proportionally (per-worker timers on the
 	// sub-microsecond query path would dominate the measurement and grow
@@ -779,49 +818,32 @@ func (pe *parEvaluator) Violated(x []int, l int) bool {
 }
 
 func (pe *parEvaluator) SupportXl(x []int, l int) int {
-	union := pe.unionScratch()
+	pe.union.Reset()
 	pe.perWorker(func(w int, ev *discovery.TableEval) {
-		before := len(union)
-		ev.ForEachPivotXl(x, l, func(v graph.NodeID) { union[v] = struct{}{} })
-		pe.b.eng.Ship(w, int64(4*(len(union)-before)))
+		before := pe.union.Len()
+		ev.AddPivotsXl(x, l, pe.union)
+		pe.b.eng.Ship(w, int64(4*(pe.union.Len()-before)))
 	})
 	pe.rounds++
-	return len(union)
+	return pe.union.Len()
 }
 
 func (pe *parEvaluator) SupportX(x []int) int {
-	union := pe.unionScratch()
+	pe.union.Reset()
 	pe.perWorker(func(w int, ev *discovery.TableEval) {
-		before := len(union)
-		ev.ForEachPivotX(x, func(v graph.NodeID) { union[v] = struct{}{} })
-		pe.b.eng.Ship(w, int64(4*(len(union)-before)))
+		before := pe.union.Len()
+		ev.AddPivotsX(x, pe.union)
+		pe.b.eng.Ship(w, int64(4*(pe.union.Len()-before)))
 	})
 	pe.rounds++
-	return len(union)
-}
-
-// unionScratch returns the cleared reusable pivot-union map.
-func (pe *parEvaluator) unionScratch() map[graph.NodeID]struct{} {
-	if pe.union == nil {
-		pe.union = make(map[graph.NodeID]struct{})
-	} else {
-		for k := range pe.union {
-			delete(pe.union, k)
-		}
-	}
-	return pe.union
+	return pe.union.Len()
 }
 
 func (pe *parEvaluator) CoHolds(x []int) []bool {
 	out := make([]bool, len(pe.pool))
 	pe.perWorker(func(w int, ev *discovery.TableEval) {
-		local := ev.CoHolds(x)
-		pe.b.eng.Ship(w, int64(len(local)))
-		for j, v := range local {
-			if v {
-				out[j] = true
-			}
-		}
+		ev.OrCoHolds(x, out)
+		pe.b.eng.Ship(w, int64(len(out)))
 	})
 	pe.rounds++
 	return out

@@ -20,6 +20,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/match"
 	"repro/internal/parallel"
+	"repro/internal/pattern"
 	"repro/internal/remote"
 	"repro/internal/store"
 )
@@ -53,6 +54,9 @@ type remoteMicroEnv struct {
 	// views is e.views with the first received fragment replaced by the
 	// remote client — the worker's join inputs in the mixed-runtime run.
 	views []graph.View
+	// one is the micro child as a one-child batch; four carries it four
+	// times, the batch of rpc-batch-x4.
+	one, four []*pattern.Pattern
 }
 
 // latencyOneWay is the simulated one-way delivery delay of the latency
@@ -164,6 +168,8 @@ func (r *remoteMicroEnv) build(e *microEnv) error {
 		return err
 	}
 	r.hedClient = hrf
+	r.one = []*pattern.Pattern{e.child}
+	r.four = []*pattern.Pattern{e.child, e.child, e.child, e.child}
 	r.views = make([]graph.View, len(e.views))
 	copy(r.views, e.views)
 	for i, v := range e.views {
@@ -189,13 +195,13 @@ func remoteMicroSpecs() []MicroSpec {
 			}
 		}},
 		{"RemoteExtend/rpc-share", func(b *testing.B) {
-			// One fragment's indexed share over the wire: encode, round-trip,
-			// decode — the RPC unit in isolation.
+			// One fragment's indexed share over the wire as a one-child
+			// batch: encode, round-trip, decode — the RPC unit in isolation.
 			e, r := remoteMicroWorkload(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r.client.ExtendIndexed(e.part, e.child)
+				r.client.ExtendIndexed(e.part, r.one)
 			}
 		}},
 		{"RemoteExtend/rpc-share-x4-serial", func(b *testing.B) {
@@ -208,7 +214,7 @@ func remoteMicroSpecs() []MicroSpec {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j := 0; j < 4; j++ {
-					r.latClient.ExtendIndexed(e.part, e.child)
+					r.latClient.ExtendIndexed(e.part, r.one)
 				}
 			}
 		}},
@@ -227,10 +233,22 @@ func remoteMicroSpecs() []MicroSpec {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						r.latClient.ExtendIndexed(e.part, e.child)
+						r.latClient.ExtendIndexed(e.part, r.one)
 					}()
 				}
 				wg.Wait()
+			}
+		}},
+		{"RemoteExtend/rpc-batch-x4", func(b *testing.B) {
+			// The four shares of x4-pipelined carried by one call over the
+			// same latency link: the parent part crosses the wire once and
+			// the server answers all four children in one response. The gap
+			// to x4-pipelined is what batching a parent's children buys.
+			e, r := remoteMicroWorkload(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.latClient.ExtendIndexed(e.part, r.four)
 			}
 		}},
 		{"RemoteExtend/rpc-share-slow", func(b *testing.B) {
@@ -242,7 +260,7 @@ func remoteMicroSpecs() []MicroSpec {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r.slowClient.ExtendIndexed(e.part, e.child)
+				r.slowClient.ExtendIndexed(e.part, r.one)
 			}
 		}},
 		{"RemoteExtend/rpc-share-hedged", func(b *testing.B) {
@@ -255,7 +273,7 @@ func remoteMicroSpecs() []MicroSpec {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r.hedClient.ExtendIndexed(e.part, e.child)
+				r.hedClient.ExtendIndexed(e.part, r.one)
 			}
 		}},
 		{"RemoteExtend/local-share", func(b *testing.B) {

@@ -84,22 +84,24 @@ func appendRepeat[T any](dst []T, v T, n int) []T {
 }
 
 func extendRowsViews(views []graph.View, t *Table, child *pattern.Pattern) *Table {
-	out := extendRowsViewsKernel(views, t, child)
+	// A view that computes its own share of the join (a remote fragment)
+	// switches the call to the index-merge path as a one-child batch;
+	// local views in the same mix run the identical per-view computation
+	// in-process and the merge reproduces the kernel's row order exactly.
+	if hasBatchExtender(views) {
+		return extendRowsMerge(views, t, []*pattern.Pattern{child})[0]
+	}
+	return countExtend(extendRowsViewsKernel(views, t, child))
+}
+
+// countExtend records one extend call and its output rows.
+func countExtend(out *Table) *Table {
 	mExtendCalls.Inc()
 	mExtendRows.Add(int64(out.Len()))
 	return out
 }
 
 func extendRowsViewsKernel(views []graph.View, t *Table, child *pattern.Pattern) *Table {
-	// A view that computes its own share of the join (a remote fragment)
-	// switches the whole call to the index-merge path; local views in the
-	// same mix run the identical per-view computation in-process and the
-	// merge reproduces this function's row order exactly.
-	for _, v := range views {
-		if _, ok := v.(BatchExtender); ok {
-			return extendRowsMerge(views, t, child)
-		}
-	}
 	out := NewTable(child)
 	if t == nil {
 		return out
@@ -280,6 +282,18 @@ func extendRowsViewsKernel(views []graph.View, t *Table, child *pattern.Pattern)
 		panic(fmt.Sprintf("match: ExtendRows: child has %d vars, parent %d", child.N(), pn))
 	}
 	return out
+}
+
+// ExtendIndexedBatch computes one view's shares of the indexed join of t
+// with each of children locally, indexed like children: the local form
+// of BatchExtender, run by the fragment server, the failover and hedge
+// paths, and the merge for local views standing next to remote ones.
+func ExtendIndexedBatch(g graph.View, t *Table, children []*pattern.Pattern) []IndexedExt {
+	exts := make([]IndexedExt, len(children))
+	for i, child := range children {
+		exts[i] = ExtendIndexed(g, t, child)
+	}
+	return exts
 }
 
 // ExtendIndexed computes one view's share of the indexed join locally:

@@ -15,8 +15,8 @@ import (
 // fragment server can compute its share against its own mmap'd snapshot
 // and ship back two flat uint32 columns, and the coordinator can merge
 // the shares of all views back into exactly the table the single-process
-// path builds. Row-table batches are the RPC unit; no per-edge lookup
-// ever crosses the wire.
+// path builds. One parent table with all of its children is the RPC unit;
+// no per-edge lookup ever crosses the wire.
 
 // FromCols builds a table over p directly from parallel columns, sharing
 // their storage: the wire decode path for a row-table batch received by a
@@ -46,54 +46,103 @@ type IndexedExt struct {
 	NewCol     []graph.NodeID
 }
 
-// BatchExtender is a view that computes its own share of the incremental
+// BatchExtender is a view that computes its own shares of the incremental
 // join — a remote fragment does it server-side against its snapshot and
-// ships the result back as flat columns. ExtendRowsViews detects it and
-// switches to the index-merge path, which is byte-identical to the fused
-// local loop (locked by TestIndexedMergeDifferential).
+// ships the results back as flat columns. One call carries every child
+// of one parent table, so the parent crosses the wire once however many
+// children extend it; the returned shares are indexed like children.
+// ExtendRowsViews and ExtendRowsViewsBatch detect it and switch to the
+// index-merge path, which is byte-identical to the fused local loop
+// (locked by TestIndexedMergeDifferential).
 type BatchExtender interface {
-	ExtendIndexed(t *Table, child *pattern.Pattern) IndexedExt
+	ExtendIndexed(t *Table, children []*pattern.Pattern) []IndexedExt
+}
+
+// hasBatchExtender reports whether any view computes its own shares.
+func hasBatchExtender(views []graph.View) bool {
+	for _, v := range views {
+		if _, ok := v.(BatchExtender); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// ExtendRowsViewsBatch extends one parent table by each of children over
+// the same views: out[i] is byte-identical to ExtendRowsViews(views, t,
+// children[i]). Local views run the fused kernel once per child; a
+// BatchExtender view computes the shares of all children in one call.
+func ExtendRowsViewsBatch(views []graph.View, t *Table, children []*pattern.Pattern) []*Table {
+	if len(views) == 0 {
+		panic("match: ExtendRowsViewsBatch: no views")
+	}
+	if hasBatchExtender(views) {
+		return extendRowsMerge(views, t, children)
+	}
+	out := make([]*Table, len(children))
+	for i, child := range children {
+		out[i] = countExtend(extendRowsViewsKernel(views, t, child))
+	}
+	return out
 }
 
 // extendRowsMerge is the index-merge form of extendRowsViews, taken when
-// any view computes its own share (BatchExtender). Each view produces an
-// IndexedExt — remotely or via the local reference implementation — and
-// the shares are merged per parent row in view order, reproducing the
-// fused loop's row order exactly: for every parent row, view 0's
-// extensions precede view 1's, and a closing-edge row is kept once no
-// matter how many views witness the edge.
-func extendRowsMerge(views []graph.View, t *Table, child *pattern.Pattern) *Table {
-	out := NewTable(child)
+// any view computes its own shares (BatchExtender). Each view produces
+// one IndexedExt per child — remotely or via the local reference
+// implementation — and each child's shares are merged per parent row in
+// view order, reproducing the fused loop's row order exactly: for every
+// parent row, view 0's extensions precede view 1's, and a closing-edge
+// row is kept once no matter how many views witness the edge.
+func extendRowsMerge(views []graph.View, t *Table, children []*pattern.Pattern) []*Table {
+	out := make([]*Table, len(children))
 	if t == nil {
+		for i, child := range children {
+			out[i] = countExtend(NewTable(child))
+		}
 		return out
 	}
-	exts := make([]IndexedExt, len(views))
+	shares := make([][]IndexedExt, len(views)) // [view][child]
 	// Self-computing views are network-bound (remote fragments): fan their
-	// shares out concurrently so the round trips pipeline over each
+	// batches out concurrently so the round trips pipeline over each
 	// fragment's multiplexed connection, and compute the local shares
 	// serially in the meantime — local compute stays sequential so the
 	// cluster engine's per-worker busy accounting is undistorted. The
-	// merge below is order-insensitive to completion: exts is indexed by
-	// view, so the output row order is identical however the shares land.
+	// merge below is order-insensitive to completion: shares is indexed by
+	// view, so the output row order is identical however the batches land.
 	var pipelined sync.WaitGroup
 	for i, v := range views {
 		if be, ok := v.(BatchExtender); ok {
 			pipelined.Add(1)
 			go func(i int, be BatchExtender) {
 				defer pipelined.Done()
-				exts[i] = be.ExtendIndexed(t, child)
+				shares[i] = be.ExtendIndexed(t, children)
 			}(i, be)
 		}
 	}
 	for i, v := range views {
 		if _, ok := v.(BatchExtender); !ok {
-			exts[i] = ExtendIndexed(v, t, child)
+			shares[i] = ExtendIndexedBatch(v, t, children)
 		}
 	}
 	pipelined.Wait()
+	exts := make([]IndexedExt, len(views))
+	cur := make([]int, len(views))
+	for c, child := range children {
+		for i := range shares {
+			exts[i] = shares[i][c]
+		}
+		clear(cur)
+		out[c] = countExtend(mergeShares(t, child, exts, cur))
+	}
+	return out
+}
+
+// mergeShares merges one child's per-view shares (exts, indexed by view)
+// into its table; cur is per-view cursor scratch, zeroed by the caller.
+func mergeShares(t *Table, child *pattern.Pattern, exts []IndexedExt, cur []int) *Table {
+	out := NewTable(child)
 	pn := t.P.N()
 	rows := t.Len()
-	cur := make([]int, len(exts))
 	if child.N() == pn {
 		// Closing edge: a row survives if any view's share lists it.
 		for r := 0; r < rows; r++ {

@@ -17,8 +17,8 @@ type batchShim struct {
 	graph.View
 }
 
-func (s batchShim) ExtendIndexed(t *Table, child *pattern.Pattern) IndexedExt {
-	return ExtendIndexed(s.View, t, child)
+func (s batchShim) ExtendIndexed(t *Table, children []*pattern.Pattern) []IndexedExt {
+	return ExtendIndexedBatch(s.View, t, children)
 }
 
 // splitViews partitions g's edges round-robin into k edge-disjoint SubCSR
@@ -55,18 +55,47 @@ func sameTable(a, b *Table) bool {
 	return true
 }
 
+// randomBatch builds a parent table over g and 1–8 children of its
+// pattern, the shape of one parent group in a ParDis level: new-node
+// children in both directions and closing edges, wildcard node and edge
+// labels mixed in. The parent is a single edge or a two-edge path, and
+// one time in eight its table is empty.
+func randomBatch(r *rand.Rand, g *graph.Graph) (*Table, []*pattern.Pattern) {
+	labels := []string{"a", "b", "c", pattern.Wildcard}
+	parent, child := randomParentChild(r)
+	base := EdgeMatches(g, parent, nil)
+	if child.N() > parent.N() && r.Intn(2) == 0 {
+		parent, base = child, ExtendRows(g, base, child)
+	}
+	if r.Intn(8) == 0 {
+		base = NewTable(parent)
+	}
+	children := make([]*pattern.Pattern, 1+r.Intn(8))
+	for i := range children {
+		n := parent.N()
+		if r.Intn(2) == 0 {
+			children[i] = parent.ExtendNewNode(r.Intn(n), labels[r.Intn(4)], labels[r.Intn(4)], r.Intn(2) == 0)
+		} else {
+			src := r.Intn(n)
+			children[i] = parent.ExtendClosingEdge(src, (src+1+r.Intn(n-1))%n, labels[r.Intn(4)])
+		}
+	}
+	return base, children
+}
+
 // TestIndexedMergeDifferential locks the index-merge path (taken when any
 // view is a BatchExtender) to the fused local loop: for random graphs,
-// random parent/child patterns, random view counts and a random subset of
-// views shimmed through BatchExtender, the output table must be
-// byte-identical — same rows in the same order — to the all-local call.
-// This is the property that makes remote mining reproduce the golden
-// bytes: the transport can only move a share, never reorder it.
+// random batches of children sharing one parent, random view counts and
+// a random subset of views shimmed through BatchExtender, every child's
+// output table must be byte-identical — same rows in the same order — to
+// the all-local per-child call, whether the child goes through the batch
+// or alone. This is the property that makes remote mining reproduce the
+// golden bytes: the transport can only move a share, never reorder it.
 func TestIndexedMergeDifferential(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomGraph(r, 4+r.Intn(8))
-		parent, child := randomParentChild(r)
+		base, children := randomBatch(r, g)
 		k := 1 + r.Intn(4)
 		plain := splitViews(g, k)
 
@@ -84,10 +113,20 @@ func TestIndexedMergeDifferential(t *testing.T) {
 			shimmed[0] = batchShim{plain[0]}
 		}
 
-		base := EdgeMatches(g, parent, nil)
-		want := ExtendRowsViews(plain, base, child)
-		got := ExtendRowsViews(shimmed, base, child)
-		return sameTable(want, got)
+		merged := ExtendRowsViewsBatch(shimmed, base, children)
+		local := ExtendRowsViewsBatch(plain, base, children)
+		if len(merged) != len(children) || len(local) != len(children) {
+			return false
+		}
+		for i, child := range children {
+			want := ExtendRowsViews(plain, base, child)
+			if !sameTable(want, merged[i]) || !sameTable(want, local[i]) ||
+				!sameTable(want, ExtendRowsViews(shimmed, base, child)) {
+				t.Logf("seed %d: child %d of %d (%v) diverged", seed, i, len(children), child)
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -95,15 +134,21 @@ func TestIndexedMergeDifferential(t *testing.T) {
 }
 
 // TestIndexedMergeNilTable: the merge path must mirror the fused loop's
-// nil-table contract (empty output table, correct arity).
+// nil-table contract (empty output table, correct arity), alone and in a
+// batch.
 func TestIndexedMergeNilTable(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	g := randomGraph(r, 6)
-	parent, child := randomParentChild(r)
+	_, children := randomBatch(r, g)
 	views := []graph.View{batchShim{g}}
-	out := ExtendRowsViews(views, nil, child)
-	if out.Len() != 0 || out.NumVars() != child.N() {
-		t.Fatalf("nil-table extend: len=%d vars=%d, want 0 and %d", out.Len(), out.NumVars(), child.N())
+	check := func(out *Table, child *pattern.Pattern) {
+		t.Helper()
+		if out.Len() != 0 || out.NumVars() != child.N() {
+			t.Fatalf("nil-table extend: len=%d vars=%d, want 0 and %d", out.Len(), out.NumVars(), child.N())
+		}
 	}
-	_ = parent
+	for i, out := range ExtendRowsViewsBatch(views, nil, children) {
+		check(out, children[i])
+	}
+	check(ExtendRowsViews(views, nil, children[0]), children[0])
 }

@@ -249,7 +249,8 @@ func ExtendRows(g graph.View, t *Table, child *pattern.Pattern) *Table {
 // would produce against the union graph — only the within-table row order
 // differs (rows are emitted per parent row in view order). A closing edge
 // keeps a row if any view holds a qualifying edge, so wildcard closing
-// edges never duplicate rows.
+// edges never duplicate rows. ExtendRowsViewsBatch is the same join for
+// several children of one parent table.
 func ExtendRowsViews(views []graph.View, t *Table, child *pattern.Pattern) *Table {
 	if len(views) == 0 {
 		panic("match: ExtendRowsViews: no views")

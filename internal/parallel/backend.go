@@ -332,7 +332,10 @@ func (b *Backend) splitByOwnership(t *match.Table) []*match.Table {
 // single-edge pattern e (charged as communication) and extends its local
 // rows against its own fragment index plus the received fragments — the
 // per-worker probe surface is the fragment views, never the full graph's
-// CSR, so the compute accounting reflects fragment-local work.
+// CSR, so the compute accounting reflects fragment-local work. Children
+// are grouped by parent handle: a worker extends its part of a parent by
+// all of that parent's children in one call, which a remote fragment
+// serves as one RPC (see parentRuns).
 func (b *Backend) ExtendBatch(parents []discovery.Handle, children []*pattern.Pattern) []discovery.PatOut {
 	if b.cancelled() {
 		return failAll(len(children))
@@ -344,7 +347,7 @@ func (b *Backend) ExtendBatch(parents []discovery.Handle, children []*pattern.Pa
 	}
 	// Pre-resolve each child's e(G) volume outside the superstep: the
 	// cache map is not goroutine-safe, and the pipelined path below runs
-	// children concurrently.
+	// parent runs concurrently.
 	eBytes := make([]int64, len(children))
 	for i, child := range children {
 		eBytes[i] = b.edgeMatchBytes(child)
@@ -353,39 +356,44 @@ func (b *Backend) ExtendBatch(parents []discovery.Handle, children []*pattern.Pa
 		b.extendBatchStealing(parents, children, hs, eBytes)
 		return b.extendBatchFinish(hs)
 	}
+	runs := parentRuns(parents)
 	b.eng.Superstep("extend level", func(w int) {
-		extendOne := func(i int, child *pattern.Pattern) {
-			ph := parents[i].(*parHandle)
+		extendRun := func(run parentRun) {
 			// Receive e(F_t) for the local fragments t ≠ w at the cost
 			// model's declared share; remote fragments are charged below
 			// from bytes measured on their connections.
-			b.eng.Ship(w, eBytes[i]/int64(b.n())*b.localOthers[w])
-			if ph.parts == nil {
+			for i := run.lo; i < run.hi; i++ {
+				b.eng.Ship(w, eBytes[i]/int64(b.n())*b.localOthers[w])
+			}
+			if run.parent.parts == nil {
 				return
 			}
-			hs[i].parts[w] = match.ExtendRowsViews(b.workerViews[w], ph.parts[w], child)
+			tabs := match.ExtendRowsViewsBatch(b.workerViews[w], run.parent.parts[w], children[run.lo:run.hi])
+			for j, tab := range tabs {
+				hs[run.lo+j].parts[w] = tab
+			}
 		}
 		if len(b.transferTrackers) > 0 {
-			// Remote fragments present: the level's children are
-			// network-bound, so run them concurrently and let their RPCs
-			// pipeline over the fragments' multiplexed connections instead
-			// of queueing round trips child by child. Writes are disjoint
-			// (each child owns hs[i].parts[w]) and the engine's Ship
-			// accounting is mutex-guarded.
+			// Remote fragments present: the level's joins are
+			// network-bound, so run the parent runs concurrently and let
+			// their batches pipeline over the fragments' multiplexed
+			// connections instead of queueing round trips run by run.
+			// Writes are disjoint (each child owns hs[i].parts[w]) and the
+			// engine's Ship accounting is mutex-guarded.
 			var wg sync.WaitGroup
-			for i, child := range children {
+			for _, run := range runs {
 				wg.Add(1)
-				go func(i int, child *pattern.Pattern) {
+				go func(run parentRun) {
 					defer wg.Done()
-					extendOne(i, child)
-				}(i, child)
+					extendRun(run)
+				}(run)
 			}
 			wg.Wait()
 		} else {
 			// Purely simulated cluster: keep the serial loop so per-worker
 			// busy-time measurement stays undistorted by local parallelism.
-			for i, child := range children {
-				extendOne(i, child)
+			for _, run := range runs {
+				extendRun(run)
 			}
 		}
 		// Real comms replace declared volume for remote fragments: drain
@@ -397,6 +405,32 @@ func (b *Backend) ExtendBatch(parents []discovery.Handle, children []*pattern.Pa
 		}
 	})
 	return b.extendBatchFinish(hs)
+}
+
+// parentRun is a run of consecutive children of a level's batch that
+// extend the same parent handle: children[lo:hi]. A worker extends its
+// part of the parent by the whole run in one call, so a remote fragment
+// receives that part once, not once per child. The mining driver emits
+// each parent's children consecutively, so a parent makes one run per
+// level; were they interleaved, a parent would only cost more calls.
+type parentRun struct {
+	parent *parHandle
+	lo, hi int
+}
+
+// parentRuns splits a level's batch into maximal runs of children that
+// share a parent handle.
+func parentRuns(parents []discovery.Handle) []parentRun {
+	var runs []parentRun
+	for i, h := range parents {
+		ph := h.(*parHandle)
+		if n := len(runs); n > 0 && runs[n-1].parent == ph {
+			runs[n-1].hi = i + 1
+			continue
+		}
+		runs = append(runs, parentRun{parent: ph, lo: i, hi: i + 1})
+	}
+	return runs
 }
 
 // extendBatchFinish is the driver-serial tail of ExtendBatch, shared by

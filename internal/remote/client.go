@@ -24,7 +24,9 @@ type Options struct {
 	DialTimeout time.Duration
 	// CallTimeout is the per-RPC deadline: every call on the wire carries
 	// it, so a stalled server (or a dropped frame) turns into a timeout,
-	// a retry, and eventually a failover instead of a hung superstep.
+	// a retry, and eventually a failover instead of a hung superstep. An
+	// extend call is one batch — every child of one parent part — so the
+	// deadline bounds the whole batch.
 	CallTimeout time.Duration
 	// Backoff is the retry policy between attempts.
 	Backoff Backoff
@@ -41,10 +43,10 @@ type Options struct {
 	// disables failback (a failed-over fragment stays local forever, the
 	// PR 6 behaviour).
 	FailbackInterval time.Duration
-	// HedgeAfter, when > 0, enables hedged replica reads: an extend share
+	// HedgeAfter, when > 0, enables hedged replica reads: an extend batch
 	// still outstanding on the wire after this long is concurrently
 	// recomputed from the local spill replica (FallbackPath) and the first
-	// result wins. The share is byte-identical either way — hedging trades
+	// result wins. The shares are byte-identical either way — hedging trades
 	// duplicate work for tail latency, never output. When the health
 	// monitor has marked the member suspect the delay tightens to a
 	// quarter. Zero disables hedging.
@@ -58,7 +60,7 @@ type Options struct {
 	Dialer func(ctx context.Context, addr string) (net.Conn, error)
 	// Logf, if set, receives one line per retry/failover event.
 	Logf func(format string, args ...any)
-	// Trace, when non-nil, receives share spans and
+	// Trace, when non-nil, receives share spans (one per extend batch) and
 	// failover/failback/adoption/hedge events for the run's JSONL span
 	// log.
 	Trace *obs.Tracer
@@ -82,7 +84,7 @@ func (o Options) withDefaults() Options {
 // graph.View. The node store and symbol surface delegate to the
 // coordinator's own base view (every fragment snapshot carries the same
 // node store — the handshake fingerprint enforces it), the hot
-// incremental join goes over the wire as a row-table batch
+// incremental join goes over the wire as one batch per parent part
 // (match.BatchExtender), and per-edge CSR methods are served from a
 // lazily fetched local replica of the fragment's snapshot sections, so
 // they never turn into per-edge RPCs.
@@ -542,53 +544,70 @@ func (f *RemoteFragment) tryFailback() bool {
 	return true
 }
 
-// ExtendIndexed implements match.BatchExtender: the fragment's share of
-// the incremental join, computed server-side against its mmap. On a dead
-// server it degrades to the local fallback and computes the identical
-// share there — the superstep resumes, output unchanged. With
-// Options.HedgeAfter set, a share outstanding past the hedge delay is
-// concurrently recomputed from the local spill replica and the first
-// result wins. Concurrent calls pipeline over the shared connection.
-func (f *RemoteFragment) ExtendIndexed(t *match.Table, child *pattern.Pattern) match.IndexedExt {
+// ExtendIndexed implements match.BatchExtender: the fragment's shares of
+// the incremental join of one parent part with each of its children,
+// computed server-side against its mmap in one call, so the parent
+// columns cross the wire once per batch. On a dead server it degrades to
+// the local fallback and computes the identical shares there — the
+// superstep resumes, output unchanged. With Options.HedgeAfter set, a
+// batch outstanding past the hedge delay is concurrently recomputed from
+// the local spill replica and the first result wins. Concurrent calls
+// pipeline over the shared connection.
+func (f *RemoteFragment) ExtendIndexed(t *match.Table, children []*pattern.Pattern) []match.IndexedExt {
 	if f.closed.Load() {
 		panic(fmt.Sprintf("remote: ExtendIndexed on closed fragment %d (%s): calls after Close are a lifecycle bug", f.info.Worker, f.Addr()))
 	}
 	if m := f.servingLocal(); m != nil {
-		return match.ExtendIndexed(m, t, child)
+		return match.ExtendIndexedBatch(m, t, children)
 	}
 	if t == nil {
-		return match.IndexedExt{}
+		return make([]match.IndexedExt, len(children))
 	}
-	payload := encodeExtend(t, child)
-	sp := f.opts.Trace.Start("share", "worker", strconv.Itoa(f.info.Worker))
+	payload := encodeExtend(t, children)
+	sp := f.opts.Trace.Start("share", "worker", strconv.Itoa(f.info.Worker), "children", strconv.Itoa(len(children)))
 	start := time.Now()
 	defer func() {
 		hShare.ObserveSince(start)
 		sp.End()
 	}()
 	if delay := f.hedgeDelay(); delay > 0 {
-		return f.extendHedged(t, child, payload, delay)
+		return f.extendHedged(t, children, payload, delay)
 	}
-	ext, err := f.extendRemote(payload)
+	exts, err := f.extendRemote(t, children, payload)
 	if err != nil {
-		return match.ExtendIndexed(f.declareDead(err), t, child)
+		return match.ExtendIndexedBatch(f.declareDead(err), t, children)
 	}
-	return ext
+	return exts
 }
 
-// extendRemote runs the fragment's share on the wire: the retried RPC
+// extendRemote runs the fragment's batch on the wire: the retried RPC
 // plus response decode, with no failover escalation — callers decide
 // what an exhausted wire means (declareDead for the solo path, "the
-// local hedge already won" for the hedged one).
-func (f *RemoteFragment) extendRemote(payload []byte) (match.IndexedExt, error) {
-	respType, resp, err := f.call(msgExtend, payload)
-	if err == nil && respType != msgExtendOK {
+// local hedge already won" for the hedged one). A response must carry
+// one share per child, each shaped like its child (a new column exactly
+// for new-node children), or the merge could not use it.
+func (f *RemoteFragment) extendRemote(t *match.Table, children []*pattern.Pattern, payload []byte) ([]match.IndexedExt, error) {
+	respType, resp, err := f.call(msgExtendBatch, payload)
+	if err == nil && respType != msgExtendBatchOK {
 		err = fmt.Errorf("remote: %s: unexpected response type %d to extend", f.Addr(), respType)
 	}
 	if err != nil {
-		return match.IndexedExt{}, err
+		return nil, err
 	}
-	return decodeExtendOK(resp)
+	exts, err := decodeExtendOK(resp)
+	if err != nil {
+		return nil, err
+	}
+	if len(exts) != len(children) {
+		return nil, fmt.Errorf("remote: %s: %d shares for %d children", f.Addr(), len(exts), len(children))
+	}
+	for i, ext := range exts {
+		newNode := children[i].N() > t.NumVars()
+		if newNode && len(ext.NewCol) != len(ext.ParentRows) || !newNode && ext.NewCol != nil {
+			return nil, fmt.Errorf("remote: %s: share %d is not shaped like its child", f.Addr(), i)
+		}
+	}
+	return exts, nil
 }
 
 // hedgeDelay returns the effective hedge delay for the next share: 0
@@ -611,33 +630,34 @@ func (f *RemoteFragment) hedgeDelay() time.Duration {
 	return d
 }
 
-// extendHedged races the wire against the local replica. The RPC flies
-// first; if it lands within the hedge delay the hedge never fires. Past
-// the delay the share is recomputed from the local spill attach while
-// the RPC keeps flying, and the first result wins — the loser is
-// discarded (an abandoned RPC is bounded by CallTimeout, and its
-// eventual failure still escalates through declareDead so a genuinely
-// dead server does not hide behind winning hedges). Both computations
-// produce byte-identical rows, so the winner's identity never shows in
-// mining output — only in the hedge counters.
-func (f *RemoteFragment) extendHedged(t *match.Table, child *pattern.Pattern, payload []byte, delay time.Duration) match.IndexedExt {
+// extendHedged races the wire against the local replica, a whole batch
+// at a time. The RPC flies first; if it lands within the hedge delay the
+// hedge never fires. Past the delay the batch is recomputed from the
+// local spill attach while the RPC keeps flying, and the first result
+// wins — the loser is discarded (an abandoned RPC is bounded by
+// CallTimeout, and its eventual failure still escalates through
+// declareDead so a genuinely dead server does not hide behind winning
+// hedges). Both computations produce byte-identical rows, so the
+// winner's identity never shows in mining output — only in the hedge
+// counters.
+func (f *RemoteFragment) extendHedged(t *match.Table, children []*pattern.Pattern, payload []byte, delay time.Duration) []match.IndexedExt {
 	type result struct {
-		ext match.IndexedExt
-		err error
+		exts []match.IndexedExt
+		err  error
 	}
 	ch := make(chan result, 1)
 	go func() {
-		ext, err := f.extendRemote(payload)
-		ch <- result{ext, err}
+		exts, err := f.extendRemote(t, children, payload)
+		ch <- result{exts, err}
 	}()
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
 	select {
 	case r := <-ch:
 		if r.err != nil {
-			return match.ExtendIndexed(f.declareDead(r.err), t, child)
+			return match.ExtendIndexedBatch(f.declareDead(r.err), t, children)
 		}
-		return r.ext
+		return r.exts
 	case <-timer.C:
 	}
 	m, err := f.ensureLocal()
@@ -647,20 +667,20 @@ func (f *RemoteFragment) extendHedged(t *match.Table, child *pattern.Pattern, pa
 		f.logf("remote: %s: hedge wanted but local attach failed (%v); waiting for the wire", f.Addr(), err)
 		r := <-ch
 		if r.err != nil {
-			return match.ExtendIndexed(f.declareDead(r.err), t, child)
+			return match.ExtendIndexedBatch(f.declareDead(r.err), t, children)
 		}
-		return r.ext
+		return r.exts
 	}
 	f.hedgesFired.Add(1)
-	local := match.ExtendIndexed(m, t, child)
+	local := match.ExtendIndexedBatch(m, t, children)
 	select {
 	case r := <-ch:
-		// The wire landed while the local share was computing: prefer the
+		// The wire landed while the local batch was computing: prefer the
 		// remote result when it is clean (both are identical — this just
 		// keeps the accounting honest about who finished first).
 		if r.err == nil {
 			f.traceHedge("remote")
-			return r.ext
+			return r.exts
 		}
 		f.hedgesWon.Add(1)
 		f.traceHedge("local")

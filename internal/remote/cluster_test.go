@@ -133,10 +133,11 @@ func TestAnnounceWire(t *testing.T) {
 	}
 }
 
-// TestHedgedShareIdentical: behind a latency link every share hedges,
-// the local replica wins, and the rows are bit-identical to the local
-// computation — with the server still alive and the fragment never
-// failed over.
+// TestHedgedShareIdentical: behind a latency link every batch hedges,
+// the local replica wins, and every child's rows are bit-identical to
+// the local computation — with the server still alive and the fragment
+// never failed over. A hedge races the whole batch: one hedge per call,
+// however many children it carries.
 func TestHedgedShareIdentical(t *testing.T) {
 	g := dataset.DBpediaSim(200, 42)
 	dir := spillGraph(t, g, 3)
@@ -153,17 +154,25 @@ func TestHedgedShareIdentical(t *testing.T) {
 		FallbackPath: fragPath,
 		HedgeAfter:   2 * time.Millisecond,
 	})
-	for i, tc := range testChildren(g) {
-		base := match.EdgeMatches(g, tc.parent, nil)
-		want := match.ExtendIndexed(local, base, tc.child)
-		got := rf.ExtendIndexed(base, tc.child)
-		if !sameExt(want, got) {
-			t.Fatalf("case %d: hedged share diverged from local", i)
+	batches := testBatches(g)
+	for i, b := range batches {
+		base := match.EdgeMatches(g, b.parent, nil)
+		got := rf.ExtendIndexed(base, b.children)
+		if len(got) != len(b.children) {
+			t.Fatalf("batch %d: %d shares for %d children", i, len(got), len(b.children))
+		}
+		for j, child := range b.children {
+			if !sameExt(match.ExtendIndexed(local, base, child), got[j]) {
+				t.Fatalf("batch %d child %d: hedged share diverged from local", i, j)
+			}
 		}
 	}
 	fired, won := rf.TakeHedges()
 	if fired == 0 {
 		t.Fatal("30ms link with a 2ms hedge delay never fired a hedge")
+	}
+	if fired > int64(len(batches)) {
+		t.Fatalf("%d hedges fired for %d batches: a hedge must race a whole batch", fired, len(batches))
 	}
 	if won == 0 {
 		t.Fatal("local replica never won against a 30ms link")
@@ -211,7 +220,7 @@ func TestHedgeRace(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				got := rf.ExtendIndexed(parents[i], cases[i].child)
+				got := extendOne(rf, parents[i], cases[i].child)
 				if !sameExt(wants[i], got) {
 					select {
 					case errs <- fmt.Errorf("case %d diverged", i):
@@ -415,7 +424,7 @@ func TestAdoptValidation(t *testing.T) {
 	tc := testChildren(g)[0]
 	base := match.EdgeMatches(g, tc.parent, nil)
 	want := match.ExtendIndexed(local, base, tc.child)
-	if got := rf.ExtendIndexed(base, tc.child); !sameExt(want, got) {
+	if got := extendOne(rf, base, tc.child); !sameExt(want, got) {
 		t.Fatal("pre-adoption local share diverged")
 	}
 
@@ -431,7 +440,7 @@ func TestAdoptValidation(t *testing.T) {
 	if rf.FailedOver() || !rf.Rejoined() {
 		t.Fatalf("adoption did not resume remote serving: failedOver=%v rejoined=%v", rf.FailedOver(), rf.Rejoined())
 	}
-	if got := rf.ExtendIndexed(base, tc.child); !sameExt(want, got) {
+	if got := extendOne(rf, base, tc.child); !sameExt(want, got) {
 		t.Fatal("post-adoption share diverged")
 	}
 }

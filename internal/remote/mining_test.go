@@ -133,7 +133,8 @@ func TestGoldenMiningRemote(t *testing.T) {
 
 // TestGoldenMiningRemoteFaults: the same golden run with an adversarial
 // transport — dropped and corrupted frames — still mines the exact
-// golden bytes; retries absorb the faults.
+// golden bytes; retries absorb the faults. The run must have retried at
+// least once, or no fault was injected and nothing was tested.
 func TestGoldenMiningRemoteFaults(t *testing.T) {
 	g, want := loadGolden(t)
 	dir := t.TempDir()
@@ -154,10 +155,14 @@ func TestGoldenMiningRemoteFaults(t *testing.T) {
 			Backoff:     Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond, Factor: 2, Jitter: 0.5, Attempts: 12},
 		})
 
+	retries := mRPCRetries.Value()
 	eng := cluster.New(cluster.Config{Workers: 3})
 	res := parallel.MineFragments(context.Background(), att.Graph, frags, goldenOptions(), eng, parallel.Options{LoadBalance: true})
 	if got := canonicalizeResult(res.Result); got != want {
 		t.Fatalf("faulted remote mining diverged from golden output.\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	if mRPCRetries.Value() == retries {
+		t.Fatal("the faulted run never retried: no fault fired")
 	}
 }
 

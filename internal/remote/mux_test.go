@@ -121,7 +121,7 @@ func TestConcurrentExtendsFaulted(t *testing.T) {
 			for i, tc := range cases {
 				base := match.EdgeMatches(g, tc.parent, nil)
 				want := match.ExtendIndexed(local, base, tc.child)
-				got := rf.ExtendIndexed(base, tc.child)
+				got := extendOne(rf, base, tc.child)
 				if !sameExt(want, got) {
 					errs <- fmt.Errorf("case %d diverged under faults", i)
 					return
@@ -177,7 +177,7 @@ func TestClosedFragmentLifecycle(t *testing.T) {
 			}
 		}()
 		tc := testChildren(g)[0]
-		rf.ExtendIndexed(match.EdgeMatches(g, tc.parent, nil), tc.child)
+		extendOne(rf, match.EdgeMatches(g, tc.parent, nil), tc.child)
 	}()
 	// No silent redial happened: the server saw no frames after Close.
 	if srv.Served() != served {
@@ -256,7 +256,7 @@ func TestFailbackRejoins(t *testing.T) {
 		t.Helper()
 		for i, tc := range cases {
 			base := match.EdgeMatches(g, tc.parent, nil)
-			if !sameExt(match.ExtendIndexed(local, base, tc.child), rf.ExtendIndexed(base, tc.child)) {
+			if !sameExt(match.ExtendIndexed(local, base, tc.child), extendOne(rf, base, tc.child)) {
 				t.Fatalf("%s: case %d diverged", stage, i)
 			}
 		}
@@ -334,7 +334,7 @@ func TestFailbackRejectsImposter(t *testing.T) {
 	})
 	srv.Close()
 	tc := testChildren(g)[0]
-	rf.ExtendIndexed(match.EdgeMatches(g, tc.parent, nil), tc.child) // forces failover
+	extendOne(rf, match.EdgeMatches(g, tc.parent, nil), tc.child) // forces failover
 	if !rf.FailedOver() {
 		t.Fatal("dead server did not trigger failover")
 	}

@@ -4,10 +4,11 @@
 // coordinator dials each one as a RemoteFragment — a graph.View that
 // parallel.MineFragments mixes freely with local mmap views.
 //
-// The RPC unit is the row-table batch: one Extend call ships a parent
-// table (its columns framed exactly as snapshot sections — raw
-// little-endian u32 runs) plus the child pattern, and gets back the
-// fragment's indexed share of ExtendRowsViews. No per-edge lookup ever
+// The RPC unit is one (fragment, parent part) batch: one extend call
+// ships a worker's part of a parent table once (its columns framed
+// exactly as snapshot sections — raw little-endian u32 runs) together
+// with every child pattern of that parent in the level, and gets back
+// one indexed share of ExtendRowsViews per child. No per-edge lookup ever
 // crosses the wire; a per-edge View method on a RemoteFragment is served
 // from a lazily fetched local replica of the fragment's snapshot, whose
 // section payloads cross the wire flate-compressed (the cold-dial
@@ -64,6 +65,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/match"
@@ -71,20 +73,23 @@ import (
 	"repro/internal/store"
 )
 
-// Message types. The numeric values are part of the protocol.
+// Message types. The numeric values are part of the protocol. Types 5
+// and 6 carried the retired one-child extend and its share; the batch
+// took new numbers instead of reusing theirs, so a peer still speaking
+// them gets a clean msgError ("unknown message type"), never a misparse.
 const (
-	msgHello      uint32 = 1  // client -> server: handshake request (empty)
-	msgHelloOK    uint32 = 2  // server -> client: fragment metadata + counts + edge-label section
-	msgPing       uint32 = 3  // client -> server: heartbeat, echo payload
-	msgPong       uint32 = 4  // server -> client: heartbeat echo
-	msgExtend     uint32 = 5  // client -> server: child pattern + parent row-table batch
-	msgExtendOK   uint32 = 6  // server -> client: indexed extension share
-	msgSections   uint32 = 7  // client -> server: request the fragment's snapshot (u32 flags)
-	msgSectionsOK uint32 = 8  // server -> client: complete snapshot bytes (store format)
-	msgError      uint32 = 9  // server -> client: application error (fatal, not retried)
-	msgSectionsZ  uint32 = 10 // server -> client: snapshot with per-section flate compression
-	msgAnnounce   uint32 = 11 // fragment server -> registry: membership announcement
-	msgAnnounceOK uint32 = 12 // registry -> fragment server: admitted; carries the new epoch
+	msgHello         uint32 = 1  // client -> server: handshake request (empty)
+	msgHelloOK       uint32 = 2  // server -> client: fragment metadata + counts + edge-label section
+	msgPing          uint32 = 3  // client -> server: heartbeat, echo payload
+	msgPong          uint32 = 4  // server -> client: heartbeat echo
+	msgSections      uint32 = 7  // client -> server: request the fragment's snapshot (u32 flags)
+	msgSectionsOK    uint32 = 8  // server -> client: complete snapshot bytes (store format)
+	msgError         uint32 = 9  // server -> client: application error (fatal, not retried)
+	msgSectionsZ     uint32 = 10 // server -> client: snapshot with per-section flate compression
+	msgAnnounce      uint32 = 11 // fragment server -> registry: membership announcement
+	msgAnnounceOK    uint32 = 12 // registry -> fragment server: admitted; carries the new epoch
+	msgExtendBatch   uint32 = 13 // client -> server: child patterns + one parent part
+	msgExtendBatchOK uint32 = 14 // server -> client: one indexed share per child
 )
 
 // sectionsAcceptFlate is the msgSections request flag announcing the
@@ -151,14 +156,36 @@ func readFrame(r io.Reader) (typ, tag uint32, payload []byte, n int, err error) 
 	if length > maxFrame {
 		return 0, 0, nil, 0, fmt.Errorf("remote: frame length %d exceeds limit (corrupt header?)", length)
 	}
-	payload = make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if payload, err = readPayload(r, int(length)); err != nil {
 		return 0, 0, nil, 0, err
 	}
 	if got := frameSum(length, typ, tag, payload); got != sum {
 		return 0, 0, nil, 0, fmt.Errorf("remote: frame checksum mismatch (%08x != %08x): corrupted frame", got, sum)
 	}
 	return typ, tag, payload, frameHeader + int(length), nil
+}
+
+// readChunk is the first buffer readPayload allocates: frames up to this
+// size (almost every extend frame) are read with one exact allocation.
+const readChunk = 64 << 10
+
+// readPayload reads exactly n bytes. The buffer grows with the bytes that
+// actually arrive, at most doubling per step, instead of being sized from
+// the header's claim up front: a forged length word costs one readChunk
+// plus at most twice what the peer really sent, never maxFrame.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, readChunk))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), len(buf)))
+		}
+		k, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // --- Payload encoding ---
@@ -216,6 +243,9 @@ func (r *rbuf) err() error {
 	}
 	return nil
 }
+
+// left returns the unread payload length.
+func (r *rbuf) left() int { return len(r.b) - r.off }
 
 func (r *rbuf) take(n int) []byte {
 	if r.fail != nil || r.off+n > len(r.b) || n < 0 {
@@ -407,23 +437,42 @@ func Fingerprint(v graph.View) uint64 {
 	return h.Sum64()
 }
 
-// encodeExtend frames one incremental-join request: the child pattern and
-// the parent row-table batch (all columns — the new-node case needs every
-// bound variable for the injectivity check). The parent pattern is not
-// shipped: the server re-derives it as the child minus its last edge
-// (and last variable), which is all ExtendIndexed consults.
-func encodeExtend(t *match.Table, child *pattern.Pattern) []byte {
-	var w wbuf
-	w.u32(uint32(child.N()))
-	w.u32(uint32(child.Pivot))
-	for _, l := range child.NodeLabels {
-		w.str(l)
+// encodeExtend frames one batch request: every child pattern of one
+// parent, then the worker's part of the parent table once (all columns —
+// the new-node case needs every bound variable for the injectivity
+// check). The parent pattern is not shipped: the server re-derives it as
+// the first child minus its last edge (and last variable), which is all
+// ExtendIndexed consults. Layout:
+//
+//	u32 child count
+//	per child: u32 arity, u32 pivot, arity labels, u32 edge count,
+//	           per edge u32 src, u32 dst, label
+//	u32 parent arity, u32 rows, then each parent column as rows u32s
+func encodeExtend(t *match.Table, children []*pattern.Pattern) []byte {
+	size := 12 + 4*t.NumVars()*t.Len()
+	for _, c := range children {
+		size += 12 + 12*len(c.Edges)
+		for _, l := range c.NodeLabels {
+			size += 8 + len(l)
+		}
+		for _, e := range c.Edges {
+			size += 4 + len(e.Label)
+		}
 	}
-	w.u32(uint32(len(child.Edges)))
-	for _, e := range child.Edges {
-		w.u32(uint32(e.Src))
-		w.u32(uint32(e.Dst))
-		w.str(e.Label)
+	w := wbuf{b: make([]byte, 0, size)}
+	w.u32(uint32(len(children)))
+	for _, c := range children {
+		w.u32(uint32(c.N()))
+		w.u32(uint32(c.Pivot))
+		for _, l := range c.NodeLabels {
+			w.str(l)
+		}
+		w.u32(uint32(len(c.Edges)))
+		for _, e := range c.Edges {
+			w.u32(uint32(e.Src))
+			w.u32(uint32(e.Dst))
+			w.str(e.Label)
+		}
 	}
 	w.u32(uint32(t.NumVars()))
 	w.u32(uint32(t.Len()))
@@ -433,29 +482,35 @@ func encodeExtend(t *match.Table, child *pattern.Pattern) []byte {
 	return w.b
 }
 
-// decodeExtend rebuilds the child pattern and parent table. The returned
-// table aliases the payload where alignment allows; it lives only for the
-// duration of the request.
-func decodeExtend(b []byte) (*match.Table, *pattern.Pattern, error) {
-	r := rbuf{b: b}
+// Smallest encodings, used to bound counts by the remaining payload
+// before anything is allocated for them.
+const (
+	minLabelBytes = 4                                    // empty string
+	minEdgeBytes  = 8 + minLabelBytes                    // src, dst, label
+	minChildBytes = 8 + minLabelBytes + 4 + minEdgeBytes // arity, pivot, one label, edge count, one edge
+	minShareBytes = 8                                    // empty rows, no new column
+)
+
+// decodeChild reads one child pattern of a batch request.
+func decodeChild(r *rbuf) (*pattern.Pattern, error) {
 	n := int(r.u32())
 	pivot := int(r.u32())
-	if r.fail == nil && (n <= 0 || n > 64) {
-		r.errf("remote: implausible pattern arity %d", n)
+	if r.fail == nil && (n <= 0 || n > 64 || n > r.left()/minLabelBytes || pivot < 0 || pivot >= n) {
+		r.errf("remote: implausible pattern (arity %d, pivot %d)", n, pivot)
 	}
 	if r.fail != nil {
-		return nil, nil, r.fail
+		return nil, r.fail
 	}
 	child := &pattern.Pattern{Pivot: pivot, NodeLabels: make([]string, n)}
 	for i := range child.NodeLabels {
 		child.NodeLabels[i] = r.str()
 	}
 	ne := int(r.u32())
-	if r.fail == nil && (ne < 0 || ne > 4096) {
+	if r.fail == nil && (ne <= 0 || ne > 4096 || ne > r.left()/minEdgeBytes) {
 		r.errf("remote: implausible edge count %d", ne)
 	}
 	if r.fail != nil {
-		return nil, nil, r.fail
+		return nil, r.fail
 	}
 	child.Edges = make([]pattern.Edge, ne)
 	for i := range child.Edges {
@@ -463,17 +518,53 @@ func decodeExtend(b []byte) (*match.Table, *pattern.Pattern, error) {
 		child.Edges[i].Dst = int(r.u32())
 		child.Edges[i].Label = r.str()
 	}
-	nv := int(r.u32())
-	rows := int(r.u32())
-	if r.fail == nil && (ne == 0 || nv < n-1 || nv > n || pivot < 0 || pivot >= n) {
-		r.errf("remote: malformed extend request (n=%d nv=%d edges=%d pivot=%d)", n, nv, ne, pivot)
+	if r.fail != nil {
+		return nil, r.fail
+	}
+	for _, e := range child.Edges {
+		if e.Src < 0 || e.Src >= n || e.Dst < 0 || e.Dst >= n {
+			return nil, fmt.Errorf("remote: edge endpoint out of range")
+		}
+	}
+	return child, nil
+}
+
+// decodeExtend rebuilds a batch request's children and parent table.
+// Every child must extend the same parent arity by one edge, and a
+// new-node child's last edge must join the new variable to a bound one —
+// the shapes ExtendIndexed accepts. The returned table aliases the
+// payload where alignment allows; it lives only for the duration of the
+// request.
+func decodeExtend(b []byte) (*match.Table, []*pattern.Pattern, error) {
+	r := rbuf{b: b}
+	nc := int(r.u32())
+	if r.fail == nil && (nc <= 0 || nc > r.left()/minChildBytes) {
+		r.errf("remote: implausible child count %d for %d payload bytes", nc, len(b))
 	}
 	if r.fail != nil {
 		return nil, nil, r.fail
 	}
-	for _, e := range child.Edges {
-		if e.Src < 0 || e.Src >= n || e.Dst < 0 || e.Dst >= n {
-			return nil, nil, fmt.Errorf("remote: edge endpoint out of range")
+	children := make([]*pattern.Pattern, nc)
+	for i := range children {
+		c, err := decodeChild(&r)
+		if err != nil {
+			return nil, nil, err
+		}
+		children[i] = c
+	}
+	nv := int(r.u32())
+	rows := int(r.u32())
+	if r.fail != nil {
+		return nil, nil, r.fail
+	}
+	ne := len(children[0].Edges)
+	for _, c := range children {
+		n := c.N()
+		if len(c.Edges) != ne || nv < n-1 || nv > n {
+			return nil, nil, fmt.Errorf("remote: malformed extend batch (child arity %d, %d edges; parent arity %d, %d edges)", n, len(c.Edges), nv, ne-1)
+		}
+		if e := c.LastEdge(); n > nv && (e.Src == nv) == (e.Dst == nv) {
+			return nil, nil, fmt.Errorf("remote: new-node child's last edge %d->%d does not join variable %d", e.Src, e.Dst, nv)
 		}
 	}
 	cols := make([][]graph.NodeID, nv)
@@ -491,47 +582,70 @@ func decodeExtend(b []byte) (*match.Table, *pattern.Pattern, error) {
 	if err := r.err(); err != nil {
 		return nil, nil, err
 	}
-	// Re-derive the parent: child minus the last edge, minus the new
+	// Re-derive the parent: a child minus the last edge, minus the new
 	// variable if the child introduced one. ExtendIndexed consults the
 	// parent only through its arity.
 	parent := &pattern.Pattern{
-		NodeLabels: child.NodeLabels[:nv],
-		Edges:      child.Edges[:ne-1],
-		Pivot:      child.Pivot,
+		NodeLabels: children[0].NodeLabels[:nv],
+		Edges:      children[0].Edges[:ne-1],
+		Pivot:      children[0].Pivot,
 	}
 	t, err := match.FromCols(parent, cols)
 	if err != nil {
 		return nil, nil, err
 	}
-	return t, child, nil
+	return t, children, nil
 }
 
-func encodeExtendOK(ext match.IndexedExt) []byte {
-	var w wbuf
-	wU32s(&w, ext.ParentRows)
-	if ext.NewCol == nil {
-		w.u32(0)
-	} else {
-		w.u32(1)
-		wU32s(&w, ext.NewCol)
+// encodeExtendOK frames a batch response: the share count, then per
+// share its parent rows and — for a new-node child — a flag and the new
+// column (flag 0 and no column for a closing edge).
+func encodeExtendOK(exts []match.IndexedExt) []byte {
+	size := 4
+	for _, ext := range exts {
+		size += 12 + 4*len(ext.ParentRows) + 4*len(ext.NewCol)
+	}
+	w := wbuf{b: make([]byte, 0, size)}
+	w.u32(uint32(len(exts)))
+	for _, ext := range exts {
+		wU32s(&w, ext.ParentRows)
+		if ext.NewCol == nil {
+			w.u32(0)
+		} else {
+			w.u32(1)
+			wU32s(&w, ext.NewCol)
+		}
 	}
 	return w.b
 }
 
-func decodeExtendOK(b []byte) (match.IndexedExt, error) {
+func decodeExtendOK(b []byte) ([]match.IndexedExt, error) {
 	r := rbuf{b: b}
-	var ext match.IndexedExt
-	ext.ParentRows = rU32s[uint32](&r)
-	if r.u32() != 0 {
-		ext.NewCol = rU32s[graph.NodeID](&r)
-		if r.fail == nil && len(ext.NewCol) != len(ext.ParentRows) {
-			r.errf("remote: extension share columns disagree: %d rows, %d bindings", len(ext.ParentRows), len(ext.NewCol))
+	n := int(r.u32())
+	if r.fail == nil && (n < 0 || n > r.left()/minShareBytes) {
+		r.errf("remote: %d shares claimed, %d payload bytes left", n, r.left())
+	}
+	if r.fail != nil {
+		return nil, r.fail
+	}
+	exts := make([]match.IndexedExt, n)
+	for i := range exts {
+		ext := &exts[i]
+		ext.ParentRows = rU32s[uint32](&r)
+		if r.u32() != 0 {
+			ext.NewCol = rU32s[graph.NodeID](&r)
+			if r.fail == nil && len(ext.NewCol) != len(ext.ParentRows) {
+				r.errf("remote: extension share columns disagree: %d rows, %d bindings", len(ext.ParentRows), len(ext.NewCol))
+			}
+			if ext.NewCol == nil {
+				ext.NewCol = []graph.NodeID{}
+			}
 		}
-		if ext.NewCol == nil {
-			ext.NewCol = []graph.NodeID{}
+		if r.fail != nil {
+			return nil, r.fail
 		}
 	}
-	return ext, r.err()
+	return exts, r.err()
 }
 
 // --- Compressed snapshot transfer (msgSectionsZ) ---

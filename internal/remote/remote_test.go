@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -86,6 +87,56 @@ func testChildren(g *graph.Graph) []struct {
 	}
 }
 
+// testBatch is one (worker, parent) unit of a level: a parent pattern and
+// several of its children, shipped together in one extend call.
+type testBatch struct {
+	parent   *pattern.Pattern
+	children []*pattern.Pattern
+}
+
+// testBatches groups testChildren by parent into batches, each child
+// list followed by its reverse so a batch also repeats children: six
+// children (new-node both ways and a wildcard closing edge) over a
+// concrete-label parent, four over a wildcard one.
+func testBatches(g *graph.Graph) []testBatch {
+	var out []testBatch
+	for _, tc := range testChildren(g) {
+		k := slices.IndexFunc(out, func(b testBatch) bool { return b.parent == tc.parent })
+		if k < 0 {
+			k = len(out)
+			out = append(out, testBatch{parent: tc.parent})
+		}
+		out[k].children = append(out[k].children, tc.child)
+	}
+	for i := range out {
+		rev := slices.Clone(out[i].children)
+		slices.Reverse(rev)
+		out[i].children = append(out[i].children, rev...)
+	}
+	return out
+}
+
+// extendOne runs one child through the fragment as a one-child batch.
+func extendOne(rf *RemoteFragment, t *match.Table, child *pattern.Pattern) match.IndexedExt {
+	return rf.ExtendIndexed(t, []*pattern.Pattern{child})[0]
+}
+
+// sameTable reports byte-identical tables: same shape, same cell in
+// every (row, var) position.
+func sameTable(a, b *match.Table) bool {
+	if a.Len() != b.Len() || a.NumVars() != b.NumVars() {
+		return false
+	}
+	for r := 0; r < a.Len(); r++ {
+		for v := 0; v < a.NumVars(); v++ {
+			if a.At(r, v) != b.At(r, v) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func dialTest(t *testing.T, addr string, base graph.View, opts Options) *RemoteFragment {
 	t.Helper()
 	if opts.Backoff.Attempts == 0 {
@@ -155,7 +206,7 @@ func TestRemoteExtendMatchesLocal(t *testing.T) {
 	for i, tc := range testChildren(g) {
 		base := match.EdgeMatches(g, tc.parent, nil)
 		want := match.ExtendIndexed(local, base, tc.child)
-		got := rf.ExtendIndexed(base, tc.child)
+		got := extendOne(rf, base, tc.child)
 		if !sameExt(want, got) {
 			t.Fatalf("case %d: remote share diverged: got %d rows, want %d", i, len(got.ParentRows), len(want.ParentRows))
 		}
@@ -171,9 +222,12 @@ func TestRemoteExtendMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestRemoteMergeByteIdentical: ExtendRowsViews over a mix of remote and
-// local fragment views must equal the all-local table row for row — the
-// distributed join is invisible to the miner.
+// TestRemoteMergeByteIdentical: ExtendRowsViewsBatch over a mix of
+// remote and local fragment views must equal the all-local per-child
+// tables row for row — the distributed join is invisible to the miner.
+// Each batch, an empty parent part included, costs the server exactly
+// one frame, and the tables stay identical after the server dies and
+// the batches are computed from the spill file.
 func TestRemoteMergeByteIdentical(t *testing.T) {
 	g := dataset.YAGO2Sim(150, 9)
 	dir := spillGraph(t, g, 3)
@@ -183,26 +237,181 @@ func TestRemoteMergeByteIdentical(t *testing.T) {
 	}
 	defer att.Close()
 
-	addr, _ := startServer(t, filepath.Join(dir, parallel.FragmentSnapshotName(1)), ServerOptions{})
-	rf := dialTest(t, addr, att.Graph, Options{})
+	fragPath := filepath.Join(dir, parallel.FragmentSnapshotName(1))
+	addr, srv := startServer(t, fragPath, ServerOptions{})
+	rf := dialTest(t, addr, att.Graph, Options{CallTimeout: 200 * time.Millisecond, FallbackPath: fragPath})
 
 	localViews := []graph.View{att.Frags[0].Sub, att.Frags[1].Sub, att.Frags[2].Sub}
 	mixed := []graph.View{att.Frags[0].Sub, rf, att.Frags[2].Sub}
 
-	for i, tc := range testChildren(g) {
-		base := match.EdgeMatches(att.Graph, tc.parent, nil)
-		want := match.ExtendRowsViews(localViews, base, tc.child)
-		got := match.ExtendRowsViews(mixed, base, tc.child)
-		if want.Len() != got.Len() || want.NumVars() != got.NumVars() {
-			t.Fatalf("case %d: table shape diverged: got %dx%d want %dx%d", i, got.Len(), got.NumVars(), want.Len(), want.NumVars())
-		}
-		for r := 0; r < want.Len(); r++ {
-			for v := 0; v < want.NumVars(); v++ {
-				if want.At(r, v) != got.At(r, v) {
-					t.Fatalf("case %d: cell (%d,%d) diverged", i, r, v)
+	check := func(stage string, frames int64) {
+		t.Helper()
+		for i, b := range testBatches(g) {
+			full := match.EdgeMatches(att.Graph, b.parent, nil)
+			for _, base := range []*match.Table{full, match.NewTable(b.parent)} {
+				served := srv.Served()
+				got := match.ExtendRowsViewsBatch(mixed, base, b.children)
+				if d := srv.Served() - served; d != frames {
+					t.Fatalf("%s: batch %d (%d children, %d rows) cost %d frames, want %d", stage, i, len(b.children), base.Len(), d, frames)
+				}
+				for j, child := range b.children {
+					if want := match.ExtendRowsViews(localViews, base, child); !sameTable(want, got[j]) {
+						t.Fatalf("%s: batch %d child %d (%d parent rows): got %dx%d, want %dx%d or different rows",
+							stage, i, j, base.Len(), got[j].Len(), got[j].NumVars(), want.Len(), want.NumVars())
+					}
 				}
 			}
 		}
+	}
+	check("over the wire", 1)
+	if rf.FailedOver() {
+		t.Fatal("healthy server failed over")
+	}
+	srv.Close()
+	check("after failover", 0)
+	if !rf.FailedOver() {
+		t.Fatal("dead server did not trigger failover")
+	}
+}
+
+// TestRetiredMessageTypes: the per-child extend messages of earlier
+// versions (types 5 and 6) are unknown to the server. A peer still
+// speaking them gets an application error frame echoing its tag — a
+// clean refusal, never a misparse as a batch.
+func TestRetiredMessageTypes(t *testing.T) {
+	g := dataset.DBpediaSim(80, 4)
+	dir := spillGraph(t, g, 2)
+	addr, _ := startServer(t, filepath.Join(dir, parallel.FragmentSnapshotName(0)), ServerOptions{})
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	tc := testChildren(g)[0]
+	payload := encodeExtend(match.EdgeMatches(g, tc.parent, nil), []*pattern.Pattern{tc.child})
+	for tag, typ := range []uint32{5, 6} {
+		if _, err := writeFrame(c, typ, uint32(tag), payload); err != nil {
+			t.Fatal(err)
+		}
+		rt, rtag, resp, _, err := readFrame(c)
+		if err != nil {
+			t.Fatalf("type %d: %v", typ, err)
+		}
+		r := rbuf{b: resp}
+		if msg := r.str(); rt != msgError || rtag != uint32(tag) || !strings.Contains(msg, "unknown message type") {
+			t.Fatalf("type %d: response type %d tag %d %q, want msgError %q for tag %d", typ, rt, rtag, msg, "unknown message type", tag)
+		}
+	}
+}
+
+// TestServerRejectsMalformedBatch: a batch whose children ExtendIndexed
+// cannot run — a new-node child whose last edge loops on the new
+// variable, children of different parents, a child that adds two
+// variables — gets an application error frame, and the server keeps
+// serving: a valid batch on the same connection still succeeds.
+func TestServerRejectsMalformedBatch(t *testing.T) {
+	g := dataset.DBpediaSim(80, 4)
+	dir := spillGraph(t, g, 2)
+	addr, _ := startServer(t, filepath.Join(dir, parallel.FragmentSnapshotName(0)), ServerOptions{})
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	b := testBatches(g)[0]
+	base := match.EdgeMatches(g, b.parent, nil)
+	w := pattern.Wildcard
+	loop := b.parent.ExtendNewNode(0, w, w, true)
+	loop.Edges[len(loop.Edges)-1] = pattern.Edge{Src: 2, Dst: 2, Label: w}
+	grand := b.children[0].ExtendNewNode(0, w, w, true)
+	batches := [][]*pattern.Pattern{{loop}, {b.children[0], grand}, {grand}, b.children}
+	for i, children := range batches {
+		if _, err := writeFrame(c, msgExtendBatch, uint32(i), encodeExtend(base, children)); err != nil {
+			t.Fatal(err)
+		}
+		typ, _, _, _, err := readFrame(c)
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		want := msgError
+		if i == len(batches)-1 {
+			want = msgExtendBatchOK
+		}
+		if typ != want {
+			t.Fatalf("batch %d: response type %d, want %d", i, typ, want)
+		}
+	}
+}
+
+// TestMisshapenBatchResponseFailsOver: a server answering a batch with
+// the wrong number of shares, or with a share not shaped like its child,
+// is refused by the client — the batch fails over to the spill file and
+// still returns the exact local shares.
+func TestMisshapenBatchResponseFailsOver(t *testing.T) {
+	g := dataset.DBpediaSim(120, 7)
+	dir := spillGraph(t, g, 2)
+	fragPath := filepath.Join(dir, parallel.FragmentSnapshotName(0))
+	local, err := store.Open(fragPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	honest, err := NewServer(local, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, spoil := range map[string]func([]match.IndexedExt) []match.IndexedExt{
+		"short":       func(exts []match.IndexedExt) []match.IndexedExt { return exts[:len(exts)-1] },
+		"new column":  func(exts []match.IndexedExt) []match.IndexedExt { exts[0].NewCol = []graph.NodeID{}; return exts },
+		"no bindings": func(exts []match.IndexedExt) []match.IndexedExt { exts[1].NewCol = nil; return exts },
+	} {
+		t.Run(name, func(t *testing.T) {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			// A server that answers hello honestly and spoils every batch.
+			go func() {
+				c, err := l.Accept()
+				if err != nil {
+					return
+				}
+				defer c.Close()
+				for {
+					typ, tag, payload, _, err := readFrame(c)
+					if err != nil {
+						return
+					}
+					resp, respType := honest.hello(), msgHelloOK
+					if typ == msgExtendBatch {
+						tb, children, err := decodeExtend(payload)
+						if err != nil {
+							return
+						}
+						resp, respType = encodeExtendOK(spoil(match.ExtendIndexedBatch(local, tb, children))), msgExtendBatchOK
+					}
+					if _, err := writeFrame(c, respType, tag, resp); err != nil {
+						return
+					}
+				}
+			}()
+			rf := dialTest(t, l.Addr().String(), g, Options{FallbackPath: fragPath})
+			// A closing-edge child first, then new-node children.
+			w := pattern.Wildcard
+			p := pattern.SingleEdge(w, w, w)
+			children := []*pattern.Pattern{p.ExtendClosingEdge(1, 0, w), p.ExtendNewNode(1, w, w, true), p.ExtendNewNode(0, w, w, false)}
+			base := match.EdgeMatches(g, p, nil)
+			got := rf.ExtendIndexed(base, children)
+			for i, child := range children {
+				if !sameExt(match.ExtendIndexed(local, base, child), got[i]) {
+					t.Fatalf("child %d: share diverged from local", i)
+				}
+			}
+			if !rf.FailedOver() {
+				t.Fatal("a misshapen batch response was accepted")
+			}
+		})
 	}
 }
 
@@ -295,7 +504,7 @@ func TestFaultInjectionStillCorrect(t *testing.T) {
 			for i, tc := range testChildren(g) {
 				base := match.EdgeMatches(g, tc.parent, nil)
 				want := match.ExtendIndexed(local, base, tc.child)
-				got := rf.ExtendIndexed(base, tc.child)
+				got := extendOne(rf, base, tc.child)
 				if !sameExt(want, got) {
 					t.Fatalf("case %d under %s: share diverged", i, spec)
 				}
@@ -328,7 +537,7 @@ func TestFailoverToSpillFile(t *testing.T) {
 
 	cases := testChildren(g)
 	base0 := match.EdgeMatches(g, cases[0].parent, nil)
-	if !sameExt(match.ExtendIndexed(local, base0, cases[0].child), rf.ExtendIndexed(base0, cases[0].child)) {
+	if !sameExt(match.ExtendIndexed(local, base0, cases[0].child), extendOne(rf, base0, cases[0].child)) {
 		t.Fatal("pre-kill share diverged")
 	}
 	if rf.Healthy(context.Background()) != nil {
@@ -340,7 +549,7 @@ func TestFailoverToSpillFile(t *testing.T) {
 	for i, tc := range cases {
 		base := match.EdgeMatches(g, tc.parent, nil)
 		want := match.ExtendIndexed(local, base, tc.child)
-		got := rf.ExtendIndexed(base, tc.child)
+		got := extendOne(rf, base, tc.child)
 		if !sameExt(want, got) {
 			t.Fatalf("case %d after kill: share diverged", i)
 		}
@@ -433,7 +642,7 @@ func TestFailoverWithoutFallbackPanics(t *testing.T) {
 		}
 	}()
 	tc := testChildren(g)[0]
-	rf.ExtendIndexed(match.EdgeMatches(g, tc.parent, nil), tc.child)
+	extendOne(rf, match.EdgeMatches(g, tc.parent, nil), tc.child)
 }
 
 // TestServerDieAfter: the deterministic mid-run death used by the
@@ -457,7 +666,7 @@ func TestServerDieAfter(t *testing.T) {
 		for i, tc := range cases {
 			base := match.EdgeMatches(g, tc.parent, nil)
 			want := match.ExtendIndexed(local, base, tc.child)
-			got := rf.ExtendIndexed(base, tc.child)
+			got := extendOne(rf, base, tc.child)
 			if !sameExt(want, got) {
 				t.Fatalf("round %d case %d: share diverged across server death", round, i)
 			}
@@ -494,7 +703,7 @@ func TestConcurrentExtends(t *testing.T) {
 			for i, tc := range cases {
 				base := match.EdgeMatches(g, tc.parent, nil)
 				want := match.ExtendIndexed(local, base, tc.child)
-				got := rf.ExtendIndexed(base, tc.child)
+				got := extendOne(rf, base, tc.child)
 				if !sameExt(want, got) {
 					errs <- fmt.Errorf("case %d diverged", i)
 					return

@@ -31,7 +31,7 @@ type ServerOptions struct {
 
 // Server serves one fragment's share of the incremental join over the
 // frame protocol. The fragment snapshot is self-contained (full node
-// store and symbol pools), so the server answers Extend requests with no
+// store and symbol pools), so the server answers extend batches with no
 // state beyond its mmap — exactly the ParDis worker model, one process
 // per fragment.
 type Server struct {
@@ -204,7 +204,7 @@ func (s *Server) dispatch(typ uint32, payload []byte) (uint32, []byte) {
 		respType, resp = msgHelloOK, s.hello()
 	case msgPing:
 		respType, resp = msgPong, payload
-	case msgExtend:
+	case msgExtendBatch:
 		respType, resp, err = s.extend(payload)
 	case msgSections:
 		respType, resp, err = s.sections(payload)
@@ -239,10 +239,11 @@ func (s *Server) hello() []byte {
 	return encodeHelloOK(h)
 }
 
-// extend is the hot handler: decode the row-table batch, run this
-// fragment's share of the join against the mmap, frame the share back.
+// extend is the hot handler: decode the batch, range-check the parent
+// part's bindings once, run this fragment's share of the join for every
+// child against the mmap, and frame the shares back in child order.
 func (s *Server) extend(payload []byte) (uint32, []byte, error) {
-	t, child, err := decodeExtend(payload)
+	t, children, err := decodeExtend(payload)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -253,8 +254,7 @@ func (s *Server) extend(payload []byte) (uint32, []byte, error) {
 			}
 		}
 	}
-	ext := match.ExtendIndexed(s.m, t, child)
-	return msgExtendOK, encodeExtendOK(ext), nil
+	return msgExtendBatchOK, encodeExtendOK(match.ExtendIndexedBatch(s.m, t, children)), nil
 }
 
 // sections ships the fragment's snapshot — the same bytes Spill wrote,

@@ -9,6 +9,7 @@ package remote
 import (
 	"context"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -110,6 +111,13 @@ func TestHedgeTraceIntegrity(t *testing.T) {
 	}
 	if len(byName["share"]) == 0 || len(byName["superstep"]) == 0 {
 		t.Fatalf("expected share and superstep spans, got %v", spanNames(byName))
+	}
+	// A share span times one extend batch and says how many children it
+	// carried.
+	for _, sp := range byName["share"] {
+		if n, err := strconv.Atoi(sp.Attrs["children"]); err != nil || n < 1 {
+			t.Fatalf("share span %d has children attribute %q, want a count >= 1", sp.ID, sp.Attrs["children"])
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"sort"
 	"sync"
@@ -254,6 +255,29 @@ func deriveMicroShapes(e *microEnv, st *graph.Stats) {
 	}
 }
 
+// levelTwoChildren returns the 2-edge patterns grown from g's σ-frequent
+// single-edge patterns by one more σ-frequent edge, outgoing or incoming,
+// at either variable: the concrete new-node children of VSpawn's second
+// level.
+func levelTwoChildren(g graph.View, sigma int) []*pattern.Pattern {
+	ts := graph.NewStats(g).FrequentTriples(sigma)
+	var out []*pattern.Pattern
+	for _, t := range ts {
+		p := pattern.SingleEdge(t.SrcLabel, t.EdgeLabel, t.DstLabel)
+		for v, l := range p.NodeLabels {
+			for _, u := range ts {
+				if u.SrcLabel == l {
+					out = append(out, p.ExtendNewNode(v, u.EdgeLabel, u.DstLabel, true))
+				}
+				if u.DstLabel == l {
+					out = append(out, p.ExtendNewNode(v, u.EdgeLabel, u.SrcLabel, false))
+				}
+			}
+		}
+	}
+	return out
+}
+
 // MicroSpecs returns the micro-benchmark suite, the distributed-runtime
 // micros (remote_micro.go) included.
 func MicroSpecs() []MicroSpec {
@@ -311,18 +335,6 @@ func MicroSpecs() []MicroSpec {
 				}
 			}
 		}},
-		{"ExtendRows/skew-ref", func(b *testing.B) {
-			// The pre-batching row-at-a-time reference on the same shape —
-			// the ablation baseline the batched kernel is measured against.
-			g, t1, child := skewWorkload()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if match.ExtendRowsRef(g, t1, child).Len() == 0 {
-					b.Fatal("empty skew extension")
-				}
-			}
-		}},
 		{"TableSupport", func(b *testing.B) {
 			e := microWorkload()
 			t2 := e.t2
@@ -372,6 +384,43 @@ func MicroSpecs() []MicroSpec {
 			for i := 0; i < b.N; i++ {
 				discovery.ObservedValueCounts(e.g, e.t2, 0, e.constAttr, vc)
 				vc.Reset()
+			}
+		}},
+		{"Constants/top", func(b *testing.B) {
+			// Ranking the 5 most frequent of 2,500 distinct values whose
+			// counts mostly tie — the size of the largest (variable,
+			// attribute) slot the ParDis master ranks on yago2-k3-pardis.
+			// Each op re-adds the counts, since Top resets the counter.
+			const distinct = 2500
+			names := make([]string, distinct)
+			for i, j := range rand.New(rand.NewSource(42)).Perm(distinct) {
+				names[i] = fmt.Sprintf("value-%05d", j)
+			}
+			name := func(v graph.ValueID) string { return names[v] }
+			vc := discovery.NewValueCounter(distinct)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for v := 0; v < distinct; v++ {
+					vc.Add(graph.ValueID(v), 1+v%3)
+				}
+				if len(vc.Top(5, name)) != 5 {
+					b.Fatal("short top list")
+				}
+			}
+		}},
+		{"Pattern/CanonicalCode", func(b *testing.B) {
+			// One uncached pivoted canonical code per op, over the 2-edge
+			// children VSpawn grows from DBpediaSim 100's σ-frequent
+			// edges. Each op codes a fresh clone, so the cache never
+			// answers.
+			ps := levelTwoChildren(dataset.DBpediaSim(100, 42), 25)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if ps[i%len(ps)].Clone().CanonicalCode() == "" {
+					b.Fatal("empty code")
+				}
 			}
 		}},
 		{"HSpawn/mine-level1", func(b *testing.B) {
@@ -460,15 +509,6 @@ func MicroSpecs() []MicroSpec {
 		{"Enumerate/selectivity-order", func(b *testing.B) {
 			e := microWorkload()
 			pl := match.Compile(e.g, e.child)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pl.CountMatches(0)
-			}
-		}},
-		{"Enumerate/static-order", func(b *testing.B) {
-			e := microWorkload()
-			pl := match.CompileStatic(e.g, e.child)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -1,8 +1,6 @@
 package discovery
 
 import (
-	"sort"
-
 	"repro/internal/graph"
 	"repro/internal/match"
 )
@@ -26,10 +24,11 @@ type ValueCount struct {
 // ValueCounter accumulates per-ValueID frequencies in a dense scratch
 // sized to the graph's value pool. It is reused across (variable,
 // attribute) pairs: Top and Drain reset it, so a counter allocates only on
-// first use (and when the touched list grows).
+// first use (and when the touched list or Top's selection grows).
 type ValueCounter struct {
 	counts  []int
 	touched []graph.ValueID
+	top     []graph.ValueID
 }
 
 // NewValueCounter returns a counter for a value pool of numValues IDs.
@@ -92,27 +91,41 @@ func (c *ValueCounter) Drain(dst []ValueCount) []ValueCount {
 
 // Top returns the up-to-max most frequent accumulated values as strings,
 // ordered by descending count then ascending value string (resolved
-// through name), and resets the counter. The string resolution in the
-// comparator is what keeps constant ordering — and therefore mined GFD
-// output — identical to the map-based era.
+// through name), and resets the counter. It selects rather than sorts:
+// each value is compared with the last of the best max so far and, when
+// it beats it, inserted in place. Interned values have unique strings, so
+// the order is total and the result is a full sort's head — the constant
+// ordering, and therefore mined GFD output, of the map-based era.
 func (c *ValueCounter) Top(max int, name func(graph.ValueID) string) []string {
-	sort.Slice(c.touched, func(i, j int) bool {
-		ci, cj := c.counts[c.touched[i]], c.counts[c.touched[j]]
-		if ci != cj {
-			return ci > cj
+	top := c.top[:0]
+	for _, val := range c.touched {
+		if len(top) < max {
+			top = append(top, val)
+		} else if len(top) == 0 || !c.before(val, top[len(top)-1], name) {
+			continue
 		}
-		return name(c.touched[i]) < name(c.touched[j])
-	})
-	n := len(c.touched)
-	if n > max {
-		n = max
+		i := len(top) - 1
+		for ; i > 0 && c.before(val, top[i-1], name); i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = val
 	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = name(c.touched[i])
+	out := make([]string, len(top))
+	for i, val := range top {
+		out[i] = name(val)
 	}
+	c.top = top
 	c.Reset()
 	return out
+}
+
+// before reports whether a ranks ahead of b: a higher count, or an equal
+// count and a smaller value string.
+func (c *ValueCounter) before(a, b graph.ValueID, name func(graph.ValueID) string) bool {
+	if ca, cb := c.counts[a], c.counts[b]; ca != cb {
+		return ca > cb
+	}
+	return name(a) < name(b)
 }
 
 // ObservedValueCounts counts, via the reusable counter, the interned

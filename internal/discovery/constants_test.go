@@ -1,8 +1,10 @@
 package discovery
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -160,6 +162,34 @@ func TestConstantsParallelMatchesSequential(t *testing.T) {
 	for slot := range whole {
 		if !reflect.DeepEqual(whole[slot], merged[slot]) && !(len(whole[slot]) == 0 && len(merged[slot]) == 0) {
 			t.Fatalf("slot %d: sequential %v vs fragment-merged %v", slot, whole[slot], merged[slot])
+		}
+	}
+}
+
+// TestValueCounterTopSelection checks Top's selection against a full sort
+// (TopConstants) on random counts drawn from a narrow range, so most
+// values tie, with value strings ordered unlike their IDs, for every max
+// from 0 to 8.
+func TestValueCounterTopSelection(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	names := make([]string, 40)
+	for i, j := range r.Perm(len(names)) {
+		names[i] = fmt.Sprintf("v%02d", j)
+	}
+	name := func(v graph.ValueID) string { return names[v] }
+	vc := NewValueCounter(len(names))
+	for round := 0; round < 500; round++ {
+		ref := make(map[string]int)
+		for i, n := 0, r.Intn(len(names)+1); i < n; i++ {
+			id := graph.ValueID(r.Intn(len(names)))
+			c := 1 + r.Intn(3)
+			vc.Add(id, c)
+			ref[names[id]] += c
+		}
+		max := round % 9
+		want := TopConstants(ref, max)
+		if got := vc.Top(max, name); !slices.Equal(got, want) {
+			t.Fatalf("round %d: Top(%d) = %v, full sort %v (counts %v)", round, max, got, want, ref)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package discovery
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -26,53 +28,59 @@ type extCand struct {
 	score int
 }
 
+// extDesc describes a candidate child of a parent pattern without
+// building it: a new edge labelled label from variable at to the existing
+// variable to (a closing edge, to ≥ 0), or between at and a new variable
+// labelled node (to < 0), leaving at when out is set.
+type extDesc struct {
+	at, to      int
+	label, node string
+	out         bool
+	score       int
+}
+
+// build returns the child of p that d describes.
+func (d extDesc) build(p *pattern.Pattern) *pattern.Pattern {
+	if d.to >= 0 {
+		return p.ExtendClosingEdge(d.at, d.to, d.label)
+	}
+	return p.ExtendNewNode(d.at, d.label, d.node, d.out)
+}
+
 // tripleIndex aggregates triple counts for wildcard-endpoint lookups.
 type tripleIndex struct {
-	triples  []graph.TripleKey
-	count    map[graph.TripleKey]int
-	bySrc    map[string][]graph.TripleKey // srcLabel -> triples
-	byDst    map[string][]graph.TripleKey
-	outAgg   map[[2]string]int      // (srcLabel, edgeLabel) -> count
-	inAgg    map[[2]string]int      // (dstLabel, edgeLabel) -> count
-	edgeAgg  map[string]int         // edgeLabel -> count
-	pairSrcE map[[2]string][]string // (srcLabel, edgeLabel) -> dst labels
-	pairDstE map[[2]string][]string // (dstLabel, edgeLabel) -> src labels
+	count   map[graph.TripleKey]int
+	bySrc   map[string][]graph.TripleKey // srcLabel -> triples
+	byDst   map[string][]graph.TripleKey
+	outAgg  map[[2]string]int // (srcLabel, edgeLabel) -> count
+	inAgg   map[[2]string]int // (dstLabel, edgeLabel) -> count
+	edgeAgg map[string]int    // edgeLabel -> count
+	labels  []string          // the distinct edge labels, sorted
 }
 
 func newTripleIndex(st *graph.Stats, minCount int) *tripleIndex {
 	ti := &tripleIndex{
-		count:    make(map[graph.TripleKey]int),
-		bySrc:    make(map[string][]graph.TripleKey),
-		byDst:    make(map[string][]graph.TripleKey),
-		outAgg:   make(map[[2]string]int),
-		inAgg:    make(map[[2]string]int),
-		edgeAgg:  make(map[string]int),
-		pairSrcE: make(map[[2]string][]string),
-		pairDstE: make(map[[2]string][]string),
+		count:   make(map[graph.TripleKey]int),
+		bySrc:   make(map[string][]graph.TripleKey),
+		byDst:   make(map[string][]graph.TripleKey),
+		outAgg:  make(map[[2]string]int),
+		inAgg:   make(map[[2]string]int),
+		edgeAgg: make(map[string]int),
 	}
-	ti.triples = st.FrequentTriples(minCount)
-	for _, t := range ti.triples {
+	for _, t := range st.FrequentTriples(minCount) {
 		c := st.TripleCount[t]
 		ti.count[t] = c
 		ti.bySrc[t.SrcLabel] = append(ti.bySrc[t.SrcLabel], t)
 		ti.byDst[t.DstLabel] = append(ti.byDst[t.DstLabel], t)
 		ti.outAgg[[2]string{t.SrcLabel, t.EdgeLabel}] += c
 		ti.inAgg[[2]string{t.DstLabel, t.EdgeLabel}] += c
+		if _, ok := ti.edgeAgg[t.EdgeLabel]; !ok {
+			ti.labels = append(ti.labels, t.EdgeLabel)
+		}
 		ti.edgeAgg[t.EdgeLabel] += c
-		ti.pairSrcE[[2]string{t.SrcLabel, t.EdgeLabel}] = append(ti.pairSrcE[[2]string{t.SrcLabel, t.EdgeLabel}], t.DstLabel)
-		ti.pairDstE[[2]string{t.DstLabel, t.EdgeLabel}] = append(ti.pairDstE[[2]string{t.DstLabel, t.EdgeLabel}], t.SrcLabel)
 	}
+	sort.Strings(ti.labels)
 	return ti
-}
-
-// edgeLabels returns the distinct frequent edge labels, sorted.
-func (ti *tripleIndex) edgeLabels() []string {
-	ls := make([]string, 0, len(ti.edgeAgg))
-	for l := range ti.edgeAgg {
-		ls = append(ls, l)
-	}
-	sort.Strings(ls)
-	return ls
 }
 
 // extensions generates the candidate children of p, deduplicated by
@@ -81,16 +89,39 @@ func (ti *tripleIndex) edgeLabels() []string {
 // a σ-frequent triple; wildcard extensions need σ-frequent aggregate counts
 // (a triple below σ can still contribute to a frequent wildcard pattern).
 // pathOnly restricts spawning to forward chains (the GCFD special case).
+//
+// Candidates are scored before any is built: they are stable-sorted by
+// score, then built, coded and de-duplicated in that order until maxExt
+// distinct children are kept (all of them when maxExt is 0). That keeps
+// the children, and their order, of de-duplicating in generation order
+// first. Two isomorphic candidates extend the same parent, so they add an
+// edge with the same (source label, edge label, destination label) triple;
+// every score is a function of that triple, so duplicates tie and the
+// stable sort leaves the first generated of them first.
 func (ti *tripleIndex) extensions(p *pattern.Pattern, k int, wildcardNodes bool, maxExt, sigma int, pathOnly bool) []extCand {
+	ds := ti.describe(p, k, wildcardNodes, sigma, pathOnly)
+	slices.SortStableFunc(ds, func(a, b extDesc) int { return cmp.Compare(b.score, a.score) })
 	seen := make(map[string]bool)
 	var out []extCand
-	add := func(q *pattern.Pattern, score int) {
-		code := q.CanonicalCode()
-		if seen[code] {
-			return
+	for _, d := range ds {
+		if maxExt > 0 && len(out) == maxExt {
+			break
 		}
-		seen[code] = true
-		out = append(out, extCand{p: q, score: score})
+		q := d.build(p)
+		if code := q.CanonicalCode(); !seen[code] {
+			seen[code] = true
+			out = append(out, extCand{p: q, score: d.score})
+		}
+	}
+	return out
+}
+
+// describe lists the candidate children of p in generation order, with
+// duplicates.
+func (ti *tripleIndex) describe(p *pattern.Pattern, k int, wildcardNodes bool, sigma int, pathOnly bool) []extDesc {
+	var ds []extDesc
+	grow := func(at int, label, node string, out bool, score int) {
+		ds = append(ds, extDesc{at: at, to: -1, label: label, node: node, out: out, score: score})
 	}
 	canGrow := p.N() < k
 
@@ -100,15 +131,11 @@ func (ti *tripleIndex) extensions(p *pattern.Pattern, k int, wildcardNodes bool,
 			tail := p.N() - 1
 			for _, t := range ti.bySrc[p.NodeLabels[tail]] {
 				if ti.count[t] >= sigma {
-					add(p.ExtendNewNode(tail, t.EdgeLabel, t.DstLabel, true), ti.count[t])
+					grow(tail, t.EdgeLabel, t.DstLabel, true, ti.count[t])
 				}
 			}
 		}
-		sort.SliceStable(out, func(i, j int) bool { return out[i].score > out[j].score })
-		if maxExt > 0 && len(out) > maxExt {
-			out = out[:maxExt]
-		}
-		return out
+		return ds
 	}
 
 	for v := 0; v < p.N(); v++ {
@@ -119,21 +146,21 @@ func (ti *tripleIndex) extensions(p *pattern.Pattern, k int, wildcardNodes bool,
 				wcDone := make(map[string]bool)
 				for _, t := range ti.bySrc[lbl] {
 					if ti.count[t] >= sigma {
-						add(p.ExtendNewNode(v, t.EdgeLabel, t.DstLabel, true), ti.count[t])
+						grow(v, t.EdgeLabel, t.DstLabel, true, ti.count[t])
 					}
 					if agg := ti.outAgg[[2]string{lbl, t.EdgeLabel}]; wildcardNodes && !wcDone[t.EdgeLabel] && agg >= sigma {
 						wcDone[t.EdgeLabel] = true
-						add(p.ExtendNewNode(v, t.EdgeLabel, pattern.Wildcard, true), agg)
+						grow(v, t.EdgeLabel, pattern.Wildcard, true, agg)
 					}
 				}
 				wcDone = make(map[string]bool)
 				for _, t := range ti.byDst[lbl] {
 					if ti.count[t] >= sigma {
-						add(p.ExtendNewNode(v, t.EdgeLabel, t.SrcLabel, false), ti.count[t])
+						grow(v, t.EdgeLabel, t.SrcLabel, false, ti.count[t])
 					}
 					if agg := ti.inAgg[[2]string{lbl, t.EdgeLabel}]; wildcardNodes && !wcDone[t.EdgeLabel] && agg >= sigma {
 						wcDone[t.EdgeLabel] = true
-						add(p.ExtendNewNode(v, t.EdgeLabel, pattern.Wildcard, false), agg)
+						grow(v, t.EdgeLabel, pattern.Wildcard, false, agg)
 					}
 				}
 			}
@@ -141,12 +168,12 @@ func (ti *tripleIndex) extensions(p *pattern.Pattern, k int, wildcardNodes bool,
 			// Wildcard attachment point: extend per edge label with wildcard
 			// endpoints only (concrete endpoints would multiply candidates
 			// without adding patterns the concrete attachment points miss).
-			for _, el := range ti.edgeLabels() {
+			for _, el := range ti.labels {
 				if ti.edgeAgg[el] < sigma {
 					continue
 				}
-				add(p.ExtendNewNode(v, el, pattern.Wildcard, true), ti.edgeAgg[el])
-				add(p.ExtendNewNode(v, el, pattern.Wildcard, false), ti.edgeAgg[el])
+				grow(v, el, pattern.Wildcard, true, ti.edgeAgg[el])
+				grow(v, el, pattern.Wildcard, false, ti.edgeAgg[el])
 			}
 		}
 	}
@@ -158,7 +185,7 @@ func (ti *tripleIndex) extensions(p *pattern.Pattern, k int, wildcardNodes bool,
 				continue
 			}
 			lu, lw := p.NodeLabels[u], p.NodeLabels[w]
-			for _, el := range ti.edgeLabels() {
+			for _, el := range ti.labels {
 				if p.HasEdge(u, w, el) {
 					continue
 				}
@@ -166,16 +193,11 @@ func (ti *tripleIndex) extensions(p *pattern.Pattern, k int, wildcardNodes bool,
 				if !ok || score < sigma {
 					continue
 				}
-				add(p.ExtendClosingEdge(u, w, el), score)
+				ds = append(ds, extDesc{at: u, to: w, label: el, score: score})
 			}
 		}
 	}
-
-	sort.SliceStable(out, func(i, j int) bool { return out[i].score > out[j].score })
-	if maxExt > 0 && len(out) > maxExt {
-		out = out[:maxExt]
-	}
-	return out
+	return ds
 }
 
 // closingScore returns the frequency evidence for an edge labelled el from

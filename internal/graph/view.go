@@ -106,6 +106,15 @@ type IEdge struct {
 	Label    LabelID
 }
 
+// EdgeBounds bounds the nodes a view's edges touch: every edge's source
+// lies in [SrcLo, SrcHi) and its destination in [DstLo, DstHi). A probe
+// of the out-edges of a node outside the source range, or of the
+// in-edges of one outside the destination range, is empty without a
+// lookup. An edgeless view has empty ranges.
+type EdgeBounds struct {
+	SrcLo, SrcHi, DstLo, DstHi NodeID
+}
+
 // SubCSR is a fragment-local CSR view over a subset of one graph's edges:
 // its own flat adjacency arrays with per-node per-label runs, indexed by
 // the *global* NodeIDs and LabelIDs of the base graph (nothing is
@@ -128,6 +137,7 @@ type SubCSR struct {
 	outRunOff, inRunOff     []uint32
 
 	edgeLabelCount []int
+	bounds         EdgeBounds
 	planCache      sync.Map
 }
 
@@ -177,6 +187,9 @@ func NewSubCSR(base View, edges []IEdge) *SubCSR {
 	for _, e := range raw {
 		s.edgeLabelCount[e.label]++
 	}
+	if len(raw) > 0 {
+		s.bounds.SrcLo, s.bounds.SrcHi = raw[0].src, raw[len(raw)-1].src+1
+	}
 
 	sort.Slice(raw, func(i, j int) bool {
 		a, b := raw[i], raw[j]
@@ -190,8 +203,14 @@ func NewSubCSR(base View, edges []IEdge) *SubCSR {
 	})
 	s.inTo, s.inRunNode, s.inRunLabel, s.inRunOff = buildCSR(raw, n,
 		func(e rawEdge) (NodeID, LabelID, NodeID) { return e.dst, e.label, e.src })
+	if len(raw) > 0 {
+		s.bounds.DstLo, s.bounds.DstHi = raw[0].dst, raw[len(raw)-1].dst+1
+	}
 	return s
 }
+
+// EdgeBounds returns the node ranges the fragment's edges touch.
+func (s *SubCSR) EdgeBounds() EdgeBounds { return s.bounds }
 
 // Base returns the view whose node store the fragment shares.
 func (s *SubCSR) Base() View { return s.base }

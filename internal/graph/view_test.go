@@ -174,6 +174,44 @@ func TestSubCSRDeduplicates(t *testing.T) {
 	}
 }
 
+// TestSubCSREdgeBounds: a fragment's bounds are the tight source and
+// destination ranges of its edges, and every probe outside them is empty.
+func TestSubCSREdgeBounds(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	g := randomViewGraph(r, 40, 160)
+	all := collectEdges(g)
+	for trial := 0; trial < 50; trial++ {
+		var sub []IEdge
+		keep := r.Intn(4) // 0: the empty fragment
+		for _, e := range all {
+			if keep > 0 && r.Intn(4) < keep {
+				sub = append(sub, e)
+			}
+		}
+		s := NewSubCSR(g, sub)
+		want := EdgeBounds{}
+		for i, e := range sub {
+			if i == 0 {
+				want = EdgeBounds{e.Src, e.Src + 1, e.Dst, e.Dst + 1}
+			}
+			want.SrcLo, want.SrcHi = min(want.SrcLo, e.Src), max(want.SrcHi, e.Src+1)
+			want.DstLo, want.DstHi = min(want.DstLo, e.Dst), max(want.DstHi, e.Dst+1)
+		}
+		got := s.EdgeBounds()
+		if got != want {
+			t.Fatalf("trial %d (%d edges): EdgeBounds = %+v, want %+v", trial, len(sub), got, want)
+		}
+		for v := NodeID(0); int(v) < g.NumNodes(); v++ {
+			if lo, hi := s.OutRuns(v); lo != hi && (v < got.SrcLo || v >= got.SrcHi) {
+				t.Fatalf("trial %d: node %d has out-edges outside %+v", trial, v, got)
+			}
+			if lo, hi := s.InRuns(v); lo != hi && (v < got.DstLo || v >= got.DstHi) {
+				t.Fatalf("trial %d: node %d has in-edges outside %+v", trial, v, got)
+			}
+		}
+	}
+}
+
 // TestSubCSRPlanCacheIndependent: each view caches its own compiled plans.
 func TestSubCSRPlanCacheIndependent(t *testing.T) {
 	g := New(2, 1)

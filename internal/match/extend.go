@@ -15,7 +15,7 @@ import (
 // lookup and node-label filter run once per run into a reusable scratch
 // buffer, and only the (short) per-row injectivity scan remains in the
 // innermost loop. Output is byte-identical to the row-at-a-time reference
-// in extend_ref.go — the label filter commutes with the injectivity
+// in extend_ref_test.go — the label filter commutes with the injectivity
 // filter, and candidates stay in view order then CSR enumeration order —
 // which TestBatchedExtendDifferential locks.
 
@@ -42,13 +42,101 @@ func appendCandOK(dst []graph.NodeID, g graph.View, cands []graph.NodeID, want g
 	return dst
 }
 
+// kernelViews is the view list of kernel calls with the node ranges each
+// view's edges touch (graph.EdgeBounds). A fragment holds the out-edges
+// of its own source range only, and a worker's part of a table anchors
+// mostly in or near its own range, so probing every fragment for every
+// row made a worker's per-row cost linear in the fragment count. A call
+// instead narrows the views once to those that can meet its anchors
+// (narrow), and rules out the rest per row with two compares
+// (viewBounds.skip). A dropped or skipped probe would have returned
+// nothing, so the output is unchanged.
+type kernelViews struct {
+	views []graph.View
+	// bounds is indexed like views; a view that does not report bounds
+	// spans every node. nil — one view, or none reporting bounds —
+	// narrows nothing.
+	bounds viewBounds
+	// lv and lb are narrow's scratch, reused across calls.
+	lv []graph.View
+	lb viewBounds
+}
+
+// viewBounds holds the edge bounds of a view list, indexed like it.
+type viewBounds []graph.EdgeBounds
+
+// allNodes is the bounds of a view that does not report any.
+var allNodes = graph.EdgeBounds{SrcHi: ^graph.NodeID(0), DstHi: ^graph.NodeID(0)}
+
+// newKernelViews resolves the edge bounds of views.
+func newKernelViews(views []graph.View) kernelViews {
+	kv := kernelViews{views: views}
+	if len(views) < 2 {
+		return kv
+	}
+	for i, v := range views {
+		if b, ok := v.(interface{ EdgeBounds() graph.EdgeBounds }); ok {
+			if kv.bounds == nil {
+				kv.bounds = make(viewBounds, len(views))
+				for j := range kv.bounds {
+					kv.bounds[j] = allNodes
+				}
+			}
+			kv.bounds[i] = b.EdgeBounds()
+		}
+	}
+	return kv
+}
+
+// narrow returns the views, with their bounds, whose range in the given
+// direction (sources if outgoing, else destinations) meets the range of
+// the anchor column col, in view order. The result is valid until the
+// next call.
+func (kv *kernelViews) narrow(col []graph.NodeID, outgoing bool) ([]graph.View, viewBounds) {
+	if kv.bounds == nil || len(col) == 0 {
+		return kv.views, kv.bounds
+	}
+	amin, amax := col[0], col[0]
+	for _, a := range col {
+		amin, amax = min(amin, a), max(amax, a)
+	}
+	kv.lv, kv.lb = kv.lv[:0], kv.lb[:0]
+	for i, b := range kv.bounds {
+		if lo, hi := span(b, outgoing); amax >= lo && amin < hi {
+			kv.lv, kv.lb = append(kv.lv, kv.views[i]), append(kv.lb, b)
+		}
+	}
+	return kv.lv, kv.lb
+}
+
+// skip reports whether view i holds no edge at node v in the given
+// direction (out-edges of v if outgoing, else in-edges).
+func (vb viewBounds) skip(i int, v graph.NodeID, outgoing bool) bool {
+	if vb == nil {
+		return false
+	}
+	lo, hi := span(vb[i], outgoing)
+	return v < lo || v >= hi
+}
+
+// span returns b's source range if outgoing, else its destination range.
+func span(b graph.EdgeBounds, outgoing bool) (lo, hi graph.NodeID) {
+	if outgoing {
+		return b.SrcLo, b.SrcHi
+	}
+	return b.DstLo, b.DstHi
+}
+
 // gatherCandidates collects the filtered candidate bindings of one anchor
 // node from every view, concatenated in view order (the order the fused
 // loop enumerates them in), reusing scratch's storage.
-func gatherCandidates(scratch []graph.NodeID, views []graph.View, store graph.View,
+func gatherCandidates(scratch []graph.NodeID, views []graph.View, vb viewBounds, store graph.View,
 	anchor graph.NodeID, elabel, newLabel graph.LabelID, outgoing bool) []graph.NodeID {
 	scratch = scratch[:0]
-	for _, v := range views {
+	for i, v := range views {
+		if vb.skip(i, anchor, outgoing) {
+			continue
+		}
 		if elabel != graph.NoLabel {
 			var cands []graph.NodeID
 			if outgoing {
@@ -91,7 +179,8 @@ func extendRowsViews(views []graph.View, t *Table, child *pattern.Pattern) *Tabl
 	if hasBatchExtender(views) {
 		return extendRowsMerge(views, t, []*pattern.Pattern{child})[0]
 	}
-	return countExtend(extendRowsViewsKernel(views, t, child))
+	kv := newKernelViews(views)
+	return countExtend(extendRowsViewsKernel(&kv, t, child))
 }
 
 // countExtend records one extend call and its output rows.
@@ -101,7 +190,7 @@ func countExtend(out *Table) *Table {
 	return out
 }
 
-func extendRowsViewsKernel(views []graph.View, t *Table, child *pattern.Pattern) *Table {
+func extendRowsViewsKernel(kv *kernelViews, t *Table, child *pattern.Pattern) *Table {
 	out := NewTable(child)
 	if t == nil {
 		return out
@@ -109,7 +198,7 @@ func extendRowsViewsKernel(views []graph.View, t *Table, child *pattern.Pattern)
 	// Labels and node structure are shared by every view (one node store,
 	// one symbol table), so the new edge's label resolves once against the
 	// first view and holds for all of them.
-	store := views[0]
+	store := kv.views[0]
 	parent := t.P
 	e := child.LastEdge()
 	elabel, eok := resolveLabel(store, e.Label)
@@ -124,11 +213,15 @@ func extendRowsViewsKernel(views []graph.View, t *Table, child *pattern.Pattern)
 		// exactly one view; a wildcard label may be witnessed by several,
 		// hence the boolean any-view test rather than a per-view append).
 		srcCol, dstCol := t.cols[e.Src], t.cols[e.Dst]
+		views, vb := kv.narrow(srcCol, true)
 		if elabel == graph.NoLabel {
 			// Wildcard closing edge: the witness may sit in any of the
 			// source's runs, so stay row-at-a-time on HasEdgeID.
 			for r := range srcCol {
-				for _, v := range views {
+				for i, v := range views {
+					if vb.skip(i, srcCol[r], true) {
+						continue
+					}
 					if v.HasEdgeID(srcCol[r], dstCol[r], elabel) {
 						out.appendRow(t, r)
 						break
@@ -147,7 +240,10 @@ func extendRowsViewsKernel(views []graph.View, t *Table, child *pattern.Pattern)
 				hi++
 			}
 			for i, v := range views {
-				neigh[i] = v.OutTo(src, elabel)
+				neigh[i] = nil
+				if !vb.skip(i, src, true) {
+					neigh[i] = v.OutTo(src, elabel)
+				}
 			}
 			for r := lo; r < hi; r++ {
 				for _, ns := range neigh {
@@ -171,6 +267,7 @@ func extendRowsViewsKernel(views []graph.View, t *Table, child *pattern.Pattern)
 			anchorVar = e.Dst
 		}
 		anchorCol := t.cols[anchorVar]
+		views, vb := kv.narrow(anchorCol, outgoing)
 		rows := len(anchorCol)
 		cols := t.cols[:pn]
 		// emit1 is the unbatched per-row path: candidates straight off the
@@ -204,7 +301,10 @@ func extendRowsViewsKernel(views []graph.View, t *Table, child *pattern.Pattern)
 				hi++
 			}
 			if hi == lo+1 {
-				for _, v := range views {
+				for i, v := range views {
+					if vb.skip(i, anchor, outgoing) {
+						continue
+					}
 					if elabel != graph.NoLabel {
 						if outgoing {
 							emit1(lo, v.OutTo(anchor, elabel))
@@ -228,7 +328,7 @@ func extendRowsViewsKernel(views []graph.View, t *Table, child *pattern.Pattern)
 			}
 			// The gather applies the run-invariant filters (node label,
 			// candidate ≠ anchor) once for the whole run.
-			scratch = gatherCandidates(scratch, views, store, anchor, elabel, newLabel, outgoing)
+			scratch = gatherCandidates(scratch, views, vb, store, anchor, elabel, newLabel, outgoing)
 			if len(scratch) == 0 {
 				lo = hi
 				continue
@@ -404,7 +504,7 @@ func ExtendIndexed(g graph.View, t *Table, child *pattern.Pattern) IndexedExt {
 				lo = hi
 				continue
 			}
-			scratch = gatherCandidates(scratch, views[:], g, anchor, elabel, newLabel, outgoing)
+			scratch = gatherCandidates(scratch, views[:], nil, g, anchor, elabel, newLabel, outgoing)
 			if len(scratch) == 0 {
 				lo = hi
 				continue

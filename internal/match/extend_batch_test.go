@@ -134,6 +134,79 @@ func TestBatchedExtendViewsDifferential(t *testing.T) {
 	}
 }
 
+// sourceRangeViews cuts g's edges into k fragments by contiguous source
+// ranges — the vertex cut's shape, where a node's out-edges sit in one
+// fragment and a fragment may hold none — and returns them own-first for
+// fragment own, then in fragment order, as a ParDis worker probes them.
+func sourceRangeViews(g *graph.Graph, k, own int) []graph.View {
+	parts := make([][]graph.IEdge, k)
+	for u := 0; u < g.NumNodes(); u++ {
+		f := u * k / g.NumNodes()
+		lo, hi := g.OutRuns(graph.NodeID(u))
+		for rr := lo; rr < hi; rr++ {
+			for _, d := range g.OutRunNodes(rr) {
+				parts[f] = append(parts[f], graph.IEdge{Src: graph.NodeID(u), Dst: d, Label: g.OutRunLabel(rr)})
+			}
+		}
+	}
+	views := []graph.View{graph.NewSubCSR(g, parts[own])}
+	for f := range parts {
+		if f != own {
+			views = append(views, graph.NewSubCSR(g, parts[f]))
+		}
+	}
+	return views
+}
+
+// TestExtendViewsNarrowing: over source-range fragments, where most views
+// hold no edge at a row's anchor, the kernel's narrowing of the views per
+// call and skipping per row must leave every parent part's extension —
+// single and batched — identical to the reference, which probes every
+// view. Parts are row ranges of a pivot-ordered table, as a worker's
+// part is, so narrowing does drop views.
+func TestExtendViewsNarrowing(t *testing.T) {
+	narrowed := 0
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		g := randomGraph(r, 8+r.Intn(24))
+		p1, child := randomChild(r)
+		_, sibling := randomChild(r)
+		sibling = p1.ExtendNewNode(r.Intn(2), sibling.LastEdge().Label, pattern.Wildcard, r.Intn(2) == 0)
+		k := 2 + r.Intn(5)
+		views := sourceRangeViews(g, k, r.Intn(k))
+		kv := newKernelViews(views)
+		t1 := EdgeMatches(g, p1, nil)
+		step := 1 + r.Intn(6)
+		for lo := 0; lo < t1.Len(); lo += step {
+			part := t1.Slice(lo, min(lo+step, t1.Len()))
+			for _, c := range []*pattern.Pattern{child, sibling} {
+				if !tablesIdentical(extendRowsViews(views, part, c), extendRowsViewsRef(views, part, c)) {
+					return false
+				}
+			}
+			batch := ExtendRowsViewsBatch(views, part, []*pattern.Pattern{child, sibling})
+			if !tablesIdentical(batch[0], extendRowsViewsRef(views, part, child)) ||
+				!tablesIdentical(batch[1], extendRowsViewsRef(views, part, sibling)) {
+				return false
+			}
+			for v := 0; v < 2; v++ {
+				for _, outgoing := range []bool{true, false} {
+					if lv, _ := kv.narrow(part.Col(v), outgoing); len(lv) < len(views) {
+						narrowed++
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	if narrowed == 0 {
+		t.Fatal("degenerate: no part narrowed the views")
+	}
+}
+
 // TestBatchedExtendIndexedDifferential: the single-view indexed share must
 // agree with its reference, element for element — the merge path depends
 // on identical ParentRows/NewCol.

@@ -9,10 +9,8 @@ import (
 
 // This file preserves the row-at-a-time extend kernel the batched kernel
 // in extend.go replaced: one CSR lookup and one label filter per parent
-// row, no run batching. It exists as the correctness oracle of the
-// differential tests (the batched kernel must reproduce its output
-// byte-for-byte) and as the baseline of the ExtendRows/skew-ref ablation
-// micro. It is not called on any production path.
+// row, no run batching. It is the correctness oracle of the differential
+// tests: the batched kernel must reproduce its output byte-for-byte.
 
 // ExtendRowsRef is the row-at-a-time reference form of ExtendRows.
 func ExtendRowsRef(g graph.View, t *Table, child *pattern.Pattern) *Table {

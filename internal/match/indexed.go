@@ -80,8 +80,9 @@ func ExtendRowsViewsBatch(views []graph.View, t *Table, children []*pattern.Patt
 		return extendRowsMerge(views, t, children)
 	}
 	out := make([]*Table, len(children))
+	kv := newKernelViews(views)
 	for i, child := range children {
-		out[i] = countExtend(extendRowsViewsKernel(views, t, child))
+		out[i] = countExtend(extendRowsViewsKernel(&kv, t, child))
 	}
 	return out
 }

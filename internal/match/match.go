@@ -123,21 +123,6 @@ func Compile(v graph.View, p *pattern.Pattern) *Plan {
 	return compile(v, p, DefaultPlanner)
 }
 
-// CompileStatic builds a plan with the pre-statistics step order (most
-// pattern edges into the bound prefix first, ignoring the view's label
-// frequencies). It is retained as the reference point for the
-// selectivity-ordering differential tests and ablation benchmarks.
-func CompileStatic(v graph.View, p *pattern.Pattern) *Plan {
-	return compile(v, p, PlanStatic)
-}
-
-// CompileGlobal builds a plan with the planner-v1 estimator (global
-// per-label selectivity, no degree correction) — the second ablation
-// reference, isolating what the degree-aware correction changes.
-func CompileGlobal(v graph.View, p *pattern.Pattern) *Plan {
-	return compile(v, p, PlanGlobal)
-}
-
 // compile builds the step order. With a statistics mode, the next
 // variable is the candidate with the smallest estimated fan-out —
 // expected candidates per anchored scan, times the node label's

@@ -16,6 +16,21 @@ import (
 // random graphs and the power-law graphs whose hub concentration is what
 // the degree-aware estimator reacts to.
 
+// CompileStatic builds a plan with the pre-statistics step order (most
+// pattern edges into the bound prefix first, ignoring the view's label
+// frequencies): the reference point of the selectivity-ordering
+// differential tests.
+func CompileStatic(v graph.View, p *pattern.Pattern) *Plan {
+	return compile(v, p, PlanStatic)
+}
+
+// CompileGlobal builds a plan with the planner-v1 estimator (global
+// per-label selectivity, no degree correction): the second reference,
+// isolating what the degree-aware correction changes.
+func CompileGlobal(v graph.View, p *pattern.Pattern) *Plan {
+	return compile(v, p, PlanGlobal)
+}
+
 func planMatchSet(pl *Plan) []Match {
 	var out []Match
 	pl.Enumerate(func(m Match) bool {

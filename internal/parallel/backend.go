@@ -357,14 +357,17 @@ func (b *Backend) ExtendBatch(parents []discovery.Handle, children []*pattern.Pa
 		return b.extendBatchFinish(hs)
 	}
 	runs := parentRuns(parents)
+	// Every worker receives e(F_t) for the local fragments t ≠ w at the
+	// cost model's declared share, declared before the superstep so the
+	// bookkeeping is not timed as worker compute; remote fragments are
+	// charged inside it from bytes measured on their connections.
+	for w := 0; w < b.n(); w++ {
+		for i := range children {
+			b.eng.Ship(w, eBytes[i]/int64(b.n())*b.localOthers[w])
+		}
+	}
 	b.eng.Superstep("extend level", func(w int) {
 		extendRun := func(run parentRun) {
-			// Receive e(F_t) for the local fragments t ≠ w at the cost
-			// model's declared share; remote fragments are charged below
-			// from bytes measured on their connections.
-			for i := run.lo; i < run.hi; i++ {
-				b.eng.Ship(w, eBytes[i]/int64(b.n())*b.localOthers[w])
-			}
 			if run.parent.parts == nil {
 				return
 			}
@@ -791,6 +794,7 @@ func (b *Backend) Evaluate(h discovery.Handle, pool []core.Literal) discovery.Ev
 		pool:  pool,
 		evs:   make([]*discovery.TableEval, b.n()),
 		busy:  make([]time.Duration, b.n()),
+		ship:  make([]int64, b.n()),
 		share: make([]float64, b.n()),
 		union: master.pc,
 	}
@@ -823,29 +827,33 @@ type parEvaluator struct {
 	// with n, masking the very scalability being measured). Skewed row
 	// distributions therefore still surface as skewed busy times.
 	share []float64
+	ship  []int64 // perWorker's per-worker shipped bytes, reused
 }
 
 // perWorker runs fn on every worker's evaluator, attributing the elapsed
-// time to workers by their row share.
-func (pe *parEvaluator) perWorker(fn func(w int, ev *discovery.TableEval)) {
+// time to workers by their row share. fn returns the bytes its worker
+// ships to the master, declared once the timer has stopped: the cost
+// model's bookkeeping is not worker compute, and timing it would charge
+// every query a constant that does not shrink with n.
+func (pe *parEvaluator) perWorker(fn func(ev *discovery.TableEval) int64) {
 	start := time.Now()
 	for w, ev := range pe.evs {
-		fn(w, ev)
-		_ = w
+		pe.ship[w] = fn(ev)
 	}
 	el := time.Since(start)
 	for w := range pe.busy {
 		pe.busy[w] += time.Duration(float64(el) * pe.share[w])
+		pe.b.eng.Ship(w, pe.ship[w])
 	}
 }
 
 func (pe *parEvaluator) Violated(x []int, l int) bool {
 	violated := false
-	pe.perWorker(func(w int, ev *discovery.TableEval) {
+	pe.perWorker(func(ev *discovery.TableEval) int64 {
 		if ev.Violated(x, l) {
 			violated = true
 		}
-		pe.b.eng.Ship(w, 1) // SAT flag
+		return 1 // SAT flag
 	})
 	pe.rounds++
 	return violated
@@ -853,10 +861,10 @@ func (pe *parEvaluator) Violated(x []int, l int) bool {
 
 func (pe *parEvaluator) SupportXl(x []int, l int) int {
 	pe.union.Reset()
-	pe.perWorker(func(w int, ev *discovery.TableEval) {
+	pe.perWorker(func(ev *discovery.TableEval) int64 {
 		before := pe.union.Len()
 		ev.AddPivotsXl(x, l, pe.union)
-		pe.b.eng.Ship(w, int64(4*(pe.union.Len()-before)))
+		return int64(4 * (pe.union.Len() - before))
 	})
 	pe.rounds++
 	return pe.union.Len()
@@ -864,10 +872,10 @@ func (pe *parEvaluator) SupportXl(x []int, l int) int {
 
 func (pe *parEvaluator) SupportX(x []int) int {
 	pe.union.Reset()
-	pe.perWorker(func(w int, ev *discovery.TableEval) {
+	pe.perWorker(func(ev *discovery.TableEval) int64 {
 		before := pe.union.Len()
 		ev.AddPivotsX(x, pe.union)
-		pe.b.eng.Ship(w, int64(4*(pe.union.Len()-before)))
+		return int64(4 * (pe.union.Len() - before))
 	})
 	pe.rounds++
 	return pe.union.Len()
@@ -875,9 +883,9 @@ func (pe *parEvaluator) SupportX(x []int) int {
 
 func (pe *parEvaluator) CoHolds(x []int) []bool {
 	out := make([]bool, len(pe.pool))
-	pe.perWorker(func(w int, ev *discovery.TableEval) {
+	pe.perWorker(func(ev *discovery.TableEval) int64 {
 		ev.OrCoHolds(x, out)
-		pe.b.eng.Ship(w, int64(len(out)))
+		return int64(len(out))
 	})
 	pe.rounds++
 	return out
@@ -885,11 +893,11 @@ func (pe *parEvaluator) CoHolds(x []int) []bool {
 
 func (pe *parEvaluator) AttrPresent(v int, attr string) bool {
 	present := false
-	pe.perWorker(func(w int, ev *discovery.TableEval) {
+	pe.perWorker(func(ev *discovery.TableEval) int64 {
 		if ev.AttrPresent(v, attr) {
 			present = true
 		}
-		pe.b.eng.Ship(w, 1)
+		return 1
 	})
 	return present
 }

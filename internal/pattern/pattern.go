@@ -14,8 +14,9 @@
 package pattern
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -244,91 +245,17 @@ func (p *Pattern) String() string {
 	return b.String()
 }
 
-// sortedEdges returns the edges under permutation perm, sorted, for
-// canonical coding and code comparison.
-func (p *Pattern) permutedEdgeCode(perm []int) string {
-	es := make([]Edge, len(p.Edges))
-	for i, e := range p.Edges {
-		es[i] = Edge{Src: perm[e.Src], Dst: perm[e.Dst], Label: e.Label}
-	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Src != es[j].Src {
-			return es[i].Src < es[j].Src
-		}
-		if es[i].Dst != es[j].Dst {
-			return es[i].Dst < es[j].Dst
-		}
-		return es[i].Label < es[j].Label
-	})
-	var b strings.Builder
-	for _, e := range es {
-		fmt.Fprintf(&b, "%d>%d:%s;", e.Src, e.Dst, e.Label)
-	}
-	return b.String()
-}
-
-func (p *Pattern) permutedCode(perm []int) string {
-	labels := make([]string, p.N())
-	for v, l := range p.NodeLabels {
-		labels[perm[v]] = l
-	}
-	return strings.Join(labels, ",") + "|" + p.permutedEdgeCode(perm) + fmt.Sprintf("@%d", perm[p.Pivot])
-}
-
 // CanonicalCode returns a string that is identical for exactly the patterns
 // isomorphic to p *with matching pivots*: two patterns receive the same
 // code iff there is an isomorphism between them mapping pivot to pivot and
 // preserving all labels. Patterns in discovery have ≤ k ≤ 6 variables, so
-// the brute-force minimisation over the (k-1)! pivot-fixing permutations is
-// cheap; degree/label pre-partitioning prunes most of them.
+// minimising over every one of the (k-1)! pivot-fixing permutations is
+// cheap.
 func (p *Pattern) CanonicalCode() string {
-	if p.code != "" {
-		return p.code
+	if p.code == "" {
+		p.code = p.minCode(true)
 	}
-	n := p.N()
-	if n == 1 {
-		p.code = p.permutedCode([]int{0})
-		return p.code
-	}
-	best := ""
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = -1
-	}
-	used := make([]bool, n)
-	// Fix the pivot at position 0 so codes are pivot-preserving.
-	perm[p.Pivot] = 0
-	used[0] = true
-	vars := make([]int, 0, n-1)
-	for v := 0; v < n; v++ {
-		if v != p.Pivot {
-			vars = append(vars, v)
-		}
-	}
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(vars) {
-			code := p.permutedCode(perm)
-			if best == "" || code < best {
-				best = code
-			}
-			return
-		}
-		v := vars[i]
-		for pos := 1; pos < n; pos++ {
-			if used[pos] {
-				continue
-			}
-			perm[v] = pos
-			used[pos] = true
-			rec(i + 1)
-			used[pos] = false
-			perm[v] = -1
-		}
-	}
-	rec(0)
-	p.code = best
-	return best
+	return p.code
 }
 
 // Isomorphic reports whether p and q are isomorphic with pivots preserved
@@ -340,48 +267,138 @@ func Isomorphic(p, q *Pattern) bool {
 	return p.CanonicalCode() == q.CanonicalCode()
 }
 
-func (p *Pattern) permutedCodeNoPivot(perm []int) string {
-	labels := make([]string, p.N())
-	for v, l := range p.NodeLabels {
-		labels[perm[v]] = l
-	}
-	return strings.Join(labels, ",") + "|" + p.permutedEdgeCode(perm)
-}
-
 // CanonicalCodeUnpivoted returns a code identical exactly for patterns
 // isomorphic when pivots are ignored. GFD implication does not see pivots,
 // so ParCover groups Σ by this code: only then are implication checks
 // between groups acyclic (Lemma 6).
 func (p *Pattern) CanonicalCodeUnpivoted() string {
-	if p.codeUnpivoted != "" {
-		return p.codeUnpivoted
+	if p.codeUnpivoted == "" {
+		p.codeUnpivoted = p.minCode(false)
 	}
+	return p.codeUnpivoted
+}
+
+// minCode returns the byte-wise least encoding of p over every
+// permutation of its variables; pivoted fixes the pivot at position 0.
+// The encoding of a permutation lists the node labels by position,
+// joined by ',', then '|', then the permuted edges sorted by (source,
+// destination, label), each as "src>dst:label;", then "@0" when pivoted.
+// Every permutation is tried: ordering positions by label first would
+// pick a different minimum when a label holds a byte below ',' or '|'.
+func (p *Pattern) minCode(pivoted bool) string {
 	n := p.N()
-	best := ""
-	perm := make([]int, n)
-	used := make([]bool, n)
-	var rec func(v int)
-	rec = func(v int) {
-		if v == n {
-			code := p.permutedCodeNoPivot(perm)
-			if best == "" || code < best {
-				best = code
-			}
-			return
-		}
-		for pos := 0; pos < n; pos++ {
-			if used[pos] {
-				continue
-			}
-			perm[v] = pos
-			used[pos] = true
-			rec(v + 1)
-			used[pos] = false
-		}
+	// Codes have one length while positions are one digit: size both
+	// buffers for it up front.
+	size := 3
+	for _, l := range p.NodeLabels {
+		size += len(l) + 1
 	}
-	rec(0)
-	p.codeUnpivoted = best
-	return best
+	for _, e := range p.Edges {
+		size += len(e.Label) + 5
+	}
+	ints, mem := make([]int, 2*n), make([]byte, 2*size)
+	c := coder{
+		p:       p,
+		pivoted: pivoted,
+		perm:    ints[:n],
+		at:      ints[n:],
+		used:    make([]bool, n),
+		edges:   make([]Edge, len(p.Edges)),
+		buf:     mem[:0:size],
+		best:    mem[size:size],
+	}
+	first := 0
+	if pivoted {
+		c.perm[p.Pivot], c.at[0], c.used[0] = 0, p.Pivot, true
+		first = 1
+	}
+	c.place(0, first)
+	return string(c.best)
+}
+
+// coder is minCode's scratch: the permutation being tried (perm[v] is
+// variable v's position, at its inverse), the permuted edges, and the
+// encoding of the current and of the least permutation so far (found
+// once there is one).
+type coder struct {
+	p         *Pattern
+	pivoted   bool
+	perm, at  []int
+	used      []bool
+	edges     []Edge
+	buf, best []byte
+	found     bool
+}
+
+// place assigns positions to the variables from v on, skipping the
+// pivot when it is fixed, and encodes each complete permutation.
+func (c *coder) place(v, first int) {
+	n := len(c.perm)
+	if c.pivoted && v == c.p.Pivot {
+		v++
+	}
+	if v >= n {
+		c.encode()
+		return
+	}
+	for pos := first; pos < n; pos++ {
+		if c.used[pos] {
+			continue
+		}
+		c.perm[v], c.at[pos], c.used[pos] = pos, v, true
+		c.place(v+1, first)
+		c.used[pos] = false
+	}
+}
+
+// encode writes the current permutation's code into buf and keeps it as
+// best when it is the least so far.
+func (c *coder) encode() {
+	b := c.buf[:0]
+	for pos, v := range c.at {
+		if pos > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, c.p.NodeLabels[v]...)
+	}
+	b = append(b, '|')
+	es := c.edges
+	for i, e := range c.p.Edges {
+		e = Edge{Src: c.perm[e.Src], Dst: c.perm[e.Dst], Label: e.Label}
+		j := i
+		for ; j > 0 && edgeLess(e, es[j-1]); j-- {
+			es[j] = es[j-1]
+		}
+		es[j] = e
+	}
+	for _, e := range es {
+		b = strconv.AppendInt(b, int64(e.Src), 10)
+		b = append(b, '>')
+		b = strconv.AppendInt(b, int64(e.Dst), 10)
+		b = append(b, ':')
+		b = append(b, e.Label...)
+		b = append(b, ';')
+	}
+	if c.pivoted {
+		b = append(b, '@')
+		b = strconv.AppendInt(b, int64(c.perm[c.p.Pivot]), 10)
+	}
+	if !c.found || bytes.Compare(b, c.best) < 0 {
+		c.buf, c.best, c.found = c.best, b, true
+	} else {
+		c.buf = b
+	}
+}
+
+// edgeLess orders edges by source, destination, then label.
+func edgeLess(a, b Edge) bool {
+	if a.Src != b.Src {
+		return a.Src < b.Src
+	}
+	if a.Dst != b.Dst {
+		return a.Dst < b.Dst
+	}
+	return a.Label < b.Label
 }
 
 // LabelProfileCompatible is a cheap necessary condition for sub to embed

@@ -33,7 +33,7 @@ func startRegistry(t *testing.T, reg *cluster.Registry, opts RegistryServerOptio
 
 // announceFrag reads a spilled fragment's identity into an AnnounceInfo
 // as gfdfrag -announce does.
-func announceFrag(t *testing.T, fragPath, addr string, epoch uint64) AnnounceInfo {
+func announceFrag(t testing.TB, fragPath, addr string, epoch uint64) AnnounceInfo {
 	t.Helper()
 	m, err := store.Open(fragPath)
 	if err != nil {

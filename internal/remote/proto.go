@@ -297,11 +297,19 @@ func rU32s[T ~uint32](r *rbuf) []T {
 	return s
 }
 
+// rU64s reads a length-prefixed u64 slice. A count the remaining payload
+// cannot hold is refused before anything is allocated.
 func rU64s(r *rbuf) []uint64 {
 	n := int(r.u32())
-	out := make([]uint64, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, r.u64())
+	if r.fail == nil && n > r.left()/8 {
+		r.errf("remote: %d u64 values claimed, %d payload bytes left", n, r.left())
+	}
+	if r.fail != nil {
+		return nil
+	}
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = r.u64()
 	}
 	return out
 }
@@ -700,21 +708,35 @@ func encodeSectionsZ(snap []byte) ([]byte, error) {
 	return w.b, nil
 }
 
+// maxDeflateRatio bounds how far deflate expands: one compressed byte
+// decodes to at most 1032 bytes (258-byte matches coded in two bits).
+const maxDeflateRatio = 1032
+
 // decodeSectionsZ reverses encodeSectionsZ, reconstructing the exact
 // byte stream store.Write produced: prefix copied raw, each section
-// decompressed into its span, padding left zero. The prefix is
-// re-validated with SectionSpans so a corrupt table surfaces here as a
-// transport error instead of a misdecoded snapshot.
+// decompressed into its span, padding left zero. The snapshot length is
+// checked before it is allocated: it must be the length the received
+// section table lays out, and within what the compressed bytes present
+// can expand to. The prefix is then re-validated with SectionSpans so a
+// corrupt table surfaces here as a transport error instead of a
+// misdecoded snapshot.
 func decodeSectionsZ(b []byte) ([]byte, error) {
 	r := rbuf{b: b}
 	rawLen := r.u64()
 	prefixLen := int64(r.u32())
-	if r.fail == nil && rawLen > maxFrame {
-		r.errf("remote: implausible snapshot length %d", rawLen)
-	}
 	prefix := r.take(int(prefixLen))
 	if r.fail != nil {
 		return nil, r.fail
+	}
+	laidOut, err := store.StreamLen(prefix)
+	if err != nil {
+		return nil, err
+	}
+	if rawLen != uint64(laidOut) {
+		return nil, fmt.Errorf("remote: snapshot length %d disagrees with its section table (%d)", rawLen, laidOut)
+	}
+	if rawLen > maxFrame || laidOut-prefixLen > maxDeflateRatio*int64(r.left()) {
+		return nil, fmt.Errorf("remote: implausible snapshot length %d for %d compressed bytes", rawLen, r.left())
 	}
 	out := make([]byte, rawLen)
 	copy(out, prefix)
@@ -725,6 +747,7 @@ func decodeSectionsZ(b []byte) ([]byte, error) {
 	if wantPrefix != prefixLen {
 		return nil, fmt.Errorf("remote: snapshot prefix length %d disagrees with its section table (%d)", prefixLen, wantPrefix)
 	}
+	var fr io.Reader // one flate reader, reset per section; it holds no resource to close
 	for _, s := range spans {
 		n := int(r.u32())
 		comp := r.take(n)
@@ -737,7 +760,11 @@ func decodeSectionsZ(b []byte) ([]byte, error) {
 			}
 			continue
 		}
-		fr := flate.NewReader(bytes.NewReader(comp))
+		if fr == nil {
+			fr = flate.NewReader(bytes.NewReader(comp))
+		} else if err := fr.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
+			return nil, err
+		}
 		dst := out[s.Off : s.Off+s.Len]
 		if _, err := io.ReadFull(fr, dst); err != nil {
 			return nil, fmt.Errorf("remote: section %d decompress: %v", s.ID, err)
@@ -746,7 +773,6 @@ func decodeSectionsZ(b []byte) ([]byte, error) {
 		if m, _ := fr.Read(overrun[:]); m != 0 {
 			return nil, fmt.Errorf("remote: section %d decompresses past its %d-byte span", s.ID, s.Len)
 		}
-		fr.Close()
 	}
 	if err := r.err(); err != nil {
 		return nil, err

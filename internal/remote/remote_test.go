@@ -25,7 +25,7 @@ func testBackoff() Backoff {
 }
 
 // spillGraph writes g's n-way vertex cut to a temp dir and returns it.
-func spillGraph(t *testing.T, g *graph.Graph, n int) string {
+func spillGraph(t testing.TB, g *graph.Graph, n int) string {
 	t.Helper()
 	dir := t.TempDir()
 	if err := parallel.Spill(dir, g, parallel.VertexCut(g, n)); err != nil {

@@ -9,6 +9,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -18,6 +19,7 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/discovery"
@@ -487,6 +489,24 @@ func MicroSpecs() []MicroSpec {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if len(discovery.Mine(g, opts).Positives) == 0 {
+					b.Fatal("no GFDs mined")
+				}
+			}
+		}},
+		{"HSpawn/pardis-level2-n2", func(b *testing.B) {
+			// Two levels of ParDis over YAGO2Sim on two concurrent workers
+			// with load balancing: each pattern's index superstep builds the
+			// single-literal tables the literal trees then read.
+			g := dataset.YAGO2Sim(300, 1)
+			opts := discovery.Options{
+				K: 3, Support: 10, ConstantsPerAttr: 5, MaxX: 1,
+				MaxLevels: 2, MaxNegatives: 200,
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng := cluster.New(cluster.Config{Workers: 2, Mode: cluster.Concurrent})
+				if len(parallel.Mine(context.Background(), g, opts, eng, parallel.Options{LoadBalance: true}).Positives) == 0 {
 					b.Fatal("no GFDs mined")
 				}
 			}

@@ -41,6 +41,16 @@ func (b Bitset) AndWith(o Bitset) {
 	}
 }
 
+// Any reports whether any bit is set.
+func (b Bitset) Any() bool {
+	for _, w := range b {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // AnyAndNot reports whether b ∧ ¬o is nonempty.
 func (b Bitset) AnyAndNot(o Bitset) bool {
 	for i := range b {

@@ -267,14 +267,87 @@ func (im *Implier) Implies(sigma []*GFD, phi *GFD) bool {
 // satisfied (it equates one term with two distinct constants), or rhs
 // already follows from X by transitivity of equality alone — that is, the
 // empty set implies it. x is only read.
+//
+// Most candidates are answered without a closure. An X with no false and
+// at most one constant literal tags at most one class with a constant,
+// so its closure is never conflicting. It then entails neither false nor
+// a literal with a term that no literal of X mentions, since the closure
+// holds only the terms X mentions.
 func (im *Implier) Trivial(x []Literal, rhs Literal) bool {
+	if !mayConflict(x) {
+		switch rhs.Kind {
+		case LFalse:
+			return false
+		case LConst:
+			if !mentions(x, rhs.X, rhs.A) {
+				return false
+			}
+		case LVar:
+			if !mentions(x, rhs.X, rhs.A) || !mentions(x, rhs.Y, rhs.B) {
+				return false
+			}
+		}
+	}
 	return im.closure(nil, nil, x).holds(rhs)
 }
 
-// Reduces reports φ1 ≪ φ2 (see the package-level Reduces).
+// mayConflict reports whether x holds false or two constant literals,
+// without which a closure of x alone is never conflicting.
+func mayConflict(x []Literal) bool {
+	consts := 0
+	for _, l := range x {
+		switch l.Kind {
+		case LFalse:
+			return true
+		case LConst:
+			consts++
+		}
+	}
+	return consts >= 2
+}
+
+// mentions reports whether some literal of x has the term v.a.
+func mentions(x []Literal, v int, a string) bool {
+	for _, l := range x {
+		switch l.Kind {
+		case LConst:
+			if l.X == v && l.A == a {
+				return true
+			}
+		case LVar:
+			if l.X == v && l.A == a || l.Y == v && l.B == a {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Reduces reports φ1 ≪ φ2 (see the package-level Reduces). An embedding
+// renames variables only, so when some literal of X1 has no literal of X2
+// with its kind, attributes (either order for x.A = y.B) and constant, no
+// embedding maps X1 into X2 and none is looked up.
 func (im *Implier) Reduces(g1, g2 *GFD) bool {
+	for _, l := range g1.X {
+		if !hasShape(g2.X, l) {
+			return false
+		}
+	}
 	for _, f := range im.embeddings(g1.Q, g2.Q, pattern.EmbedOptions{PivotPreserving: true}) {
 		if reducesVia(g1, g2, f) {
+			return true
+		}
+	}
+	return false
+}
+
+// hasShape reports whether x holds a literal that l can be renamed into:
+// the same kind, attributes and constant, with the attributes of a
+// variable literal in either order.
+func hasShape(x []Literal, l Literal) bool {
+	for _, m := range x {
+		if m.Kind == l.Kind && m.C == l.C &&
+			(m.A == l.A && m.B == l.B || l.Kind == LVar && m.A == l.B && m.B == l.A) {
 			return true
 		}
 	}

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -336,13 +337,6 @@ type TableEval struct {
 	full   Bitset         // all rows
 	buf    Bitset         // scratch for AND(X) with |X| ≥ 2, made on first use
 	pc     *PivotCounter  // distinct-pivot scratch of SupportXl and SupportX
-	// attrPresent caches attribute presence per (variable, attribute).
-	attrPresent map[attrKey]bool
-}
-
-type attrKey struct {
-	v    int
-	attr string
 }
 
 // NewTableEval builds the satisfaction index of a compiled pool over the
@@ -397,6 +391,36 @@ func (e *TableEval) Violated(x []int, l int) bool {
 	return e.andX(x).AnyAndNot(e.sat[l])
 }
 
+// ViolationTable answers, in one pass, Violated for every X of at most
+// one literal and every pool literal l. With p pool literals, row r of
+// the table is X = ∅ at r = 0 and X = {r−1} above, and bit r·p + l of
+// dst is set iff some row satisfies X but not l. dst must hold (p+1)·p
+// bits, all zero. An X no row satisfies violates nothing, so its row is
+// skipped.
+func (e *TableEval) ViolationTable(dst Bitset) {
+	p := len(e.sat)
+	for r := 0; r <= p; r++ {
+		ax := e.rowX(r)
+		if !ax.Any() {
+			continue
+		}
+		for l, sl := range e.sat {
+			if ax.AnyAndNot(sl) {
+				dst.Set(r*p + l)
+			}
+		}
+	}
+}
+
+// rowX returns the rows satisfying the X of ViolationTable's row r, as
+// andX does: all rows at r = 0, those of literal r−1 above.
+func (e *TableEval) rowX(r int) Bitset {
+	if r == 0 {
+		return e.full
+	}
+	return e.sat[r-1]
+}
+
 // AddPivotsXl adds to pc the pivots of rows satisfying X ∧ l — the local
 // support set a ParDis worker ships to the master.
 func (e *TableEval) AddPivotsXl(x []int, l int, pc *PivotCounter) {
@@ -406,6 +430,21 @@ func (e *TableEval) AddPivotsXl(x []int, l int, pc *PivotCounter) {
 // AddPivotsX adds to pc the pivots of rows satisfying X.
 func (e *TableEval) AddPivotsX(x []int, pc *PivotCounter) {
 	e.andX(x).ForEach(func(i int) { pc.Add(e.pivots[i]) })
+}
+
+// AppendRowPivots resets pc and appends to dst the distinct pivots of
+// the rows satisfying the X of ViolationTable's row r, in row order: the
+// local support set of X that a ParDis worker ships to the master.
+func (e *TableEval) AppendRowPivots(dst []graph.NodeID, r int, pc *PivotCounter) []graph.NodeID {
+	pc.Reset()
+	for wi, w := range e.rowX(r) {
+		for ; w != 0; w &= w - 1 {
+			if v := e.pivots[wi<<6|bits.TrailingZeros64(w)]; pc.Add(v) {
+				dst = append(dst, v)
+			}
+		}
+	}
+	return dst
 }
 
 // SupportXl implements Evaluator.
@@ -444,24 +483,14 @@ func (e *TableEval) OrCoHolds(x []int, out []bool) {
 // AttrPresent implements Evaluator: a scan of the variable's column that
 // stops at the first node carrying the attribute.
 func (e *TableEval) AttrPresent(v int, attr string) bool {
-	key := attrKey{v, attr}
-	if p, ok := e.attrPresent[key]; ok {
-		return p
-	}
-	if e.attrPresent == nil {
-		e.attrPresent = make(map[attrKey]bool)
-	}
-	present := false
 	if d := e.cols.Column(attr).Dense(); d != nil {
 		for _, node := range e.t.Col(v) {
 			if d[node] != graph.NoValue {
-				present = true
-				break
+				return true
 			}
 		}
 	}
-	e.attrPresent[key] = present
-	return present
+	return false
 }
 
 // Release implements Evaluator.

@@ -56,6 +56,10 @@ type tripleIndex struct {
 	inAgg   map[[2]string]int // (dstLabel, edgeLabel) -> count
 	edgeAgg map[string]int    // edgeLabel -> count
 	labels  []string          // the distinct edge labels, sorted
+	// describe's scratch, reused across calls: the descriptor list and
+	// the edge labels already given a wildcard extension.
+	ds     []extDesc
+	wcDone map[string]bool
 }
 
 func newTripleIndex(st *graph.Stats, minCount int) *tripleIndex {
@@ -66,6 +70,7 @@ func newTripleIndex(st *graph.Stats, minCount int) *tripleIndex {
 		outAgg:  make(map[[2]string]int),
 		inAgg:   make(map[[2]string]int),
 		edgeAgg: make(map[string]int),
+		wcDone:  make(map[string]bool),
 	}
 	for _, t := range st.FrequentTriples(minCount) {
 		c := st.TripleCount[t]
@@ -113,13 +118,14 @@ func (ti *tripleIndex) extensions(p *pattern.Pattern, k int, wildcardNodes bool,
 			out = append(out, extCand{p: q, score: d.score})
 		}
 	}
+	ti.ds = ds
 	return out
 }
 
 // describe lists the candidate children of p in generation order, with
-// duplicates.
+// duplicates, in ti.ds's storage: the list is valid until the next call.
 func (ti *tripleIndex) describe(p *pattern.Pattern, k int, wildcardNodes bool, sigma int, pathOnly bool) []extDesc {
-	var ds []extDesc
+	ds := ti.ds[:0]
 	grow := func(at int, label, node string, out bool, score int) {
 		ds = append(ds, extDesc{at: at, to: -1, label: label, node: node, out: out, score: score})
 	}
@@ -143,23 +149,23 @@ func (ti *tripleIndex) describe(p *pattern.Pattern, k int, wildcardNodes bool, s
 		if lbl != pattern.Wildcard {
 			// Outgoing extensions with a new node.
 			if canGrow {
-				wcDone := make(map[string]bool)
+				clear(ti.wcDone)
 				for _, t := range ti.bySrc[lbl] {
 					if ti.count[t] >= sigma {
 						grow(v, t.EdgeLabel, t.DstLabel, true, ti.count[t])
 					}
-					if agg := ti.outAgg[[2]string{lbl, t.EdgeLabel}]; wildcardNodes && !wcDone[t.EdgeLabel] && agg >= sigma {
-						wcDone[t.EdgeLabel] = true
+					if agg := ti.outAgg[[2]string{lbl, t.EdgeLabel}]; wildcardNodes && !ti.wcDone[t.EdgeLabel] && agg >= sigma {
+						ti.wcDone[t.EdgeLabel] = true
 						grow(v, t.EdgeLabel, pattern.Wildcard, true, agg)
 					}
 				}
-				wcDone = make(map[string]bool)
+				clear(ti.wcDone)
 				for _, t := range ti.byDst[lbl] {
 					if ti.count[t] >= sigma {
 						grow(v, t.EdgeLabel, t.SrcLabel, false, ti.count[t])
 					}
-					if agg := ti.inAgg[[2]string{lbl, t.EdgeLabel}]; wildcardNodes && !wcDone[t.EdgeLabel] && agg >= sigma {
-						wcDone[t.EdgeLabel] = true
+					if agg := ti.inAgg[[2]string{lbl, t.EdgeLabel}]; wildcardNodes && !ti.wcDone[t.EdgeLabel] && agg >= sigma {
+						ti.wcDone[t.EdgeLabel] = true
 						grow(v, t.EdgeLabel, pattern.Wildcard, false, agg)
 					}
 				}

@@ -24,6 +24,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -76,6 +77,8 @@ type Graph struct {
 	edgeLabelCount []int      // edges per edge-label LabelID
 	planCache      sync.Map   // opaque per-graph cache of derived structures
 	finalized      bool
+
+	keys []string // AddNode's attribute-name scratch
 }
 
 // New returns an empty graph pre-sized for n nodes and m edges.
@@ -130,12 +133,19 @@ func (g *Graph) requireFinal() {
 // returns its ID. The attrs map is interned into the graph's columnar
 // attribute store and NOT retained: callers may reuse or mutate it freely
 // afterwards (this is a contract change from the map-backed era, which
-// kept the caller's map alive). A nil attrs is allowed.
+// kept the caller's map alive). A nil attrs is allowed. Attributes are
+// interned in sorted name order, so a graph built by the same calls
+// numbers its attributes and values the same way every time.
 func (g *Graph) AddNode(label string, attrs map[string]string) NodeID {
 	id := NodeID(len(g.labels))
 	g.labels = append(g.labels, g.symtab().Intern(label))
-	for k, v := range attrs {
-		g.attrs.set(id, g.syms.InternAttr(k), g.syms.InternValue(v))
+	g.keys = g.keys[:0]
+	for k := range attrs {
+		g.keys = append(g.keys, k)
+	}
+	slices.Sort(g.keys)
+	for _, k := range g.keys {
+		g.attrs.set(id, g.syms.InternAttr(k), g.syms.InternValue(attrs[k]))
 	}
 	g.finalized = false
 	return id

@@ -231,7 +231,9 @@ func extendRowsViewsKernel(kv *kernelViews, t *Table, child *pattern.Pattern) *T
 			return out
 		}
 		// Concrete label: resolve each view's adjacency run once per run of
-		// equal sources; the per-row work is one binary search per view.
+		// equal sources; the per-row work is one binary search per view. A
+		// run whose source has no such out-edge in any view keeps no row,
+		// so its rows are not visited.
 		neigh := make([][]graph.NodeID, len(views))
 		for lo := 0; lo < len(srcCol); {
 			src := srcCol[lo]
@@ -239,11 +241,17 @@ func extendRowsViewsKernel(kv *kernelViews, t *Table, child *pattern.Pattern) *T
 			for hi < len(srcCol) && srcCol[hi] == src {
 				hi++
 			}
+			found := false
 			for i, v := range views {
 				neigh[i] = nil
 				if !vb.skip(i, src, true) {
 					neigh[i] = v.OutTo(src, elabel)
+					found = found || len(neigh[i]) > 0
 				}
+			}
+			if !found {
+				lo = hi
+				continue
 			}
 			for r := lo; r < hi; r++ {
 				for _, ns := range neigh {

@@ -140,37 +140,37 @@ func extendRowsMerge(views []graph.View, t *Table, children []*pattern.Pattern) 
 
 // mergeShares merges one child's per-view shares (exts, indexed by view)
 // into its table; cur is per-view cursor scratch, zeroed by the caller.
+// It visits only the parent rows some share lists: each step takes the
+// least row under the cursors, then advances every view's cursor past it.
+// Rows past the parent's end, which no well-formed share lists, end the
+// merge.
 func mergeShares(t *Table, child *pattern.Pattern, exts []IndexedExt, cur []int) *Table {
 	out := NewTable(child)
-	pn := t.P.N()
-	rows := t.Len()
-	if child.N() == pn {
-		// Closing edge: a row survives if any view's share lists it.
-		for r := 0; r < rows; r++ {
-			hit := false
-			for i := range exts {
-				pr := exts[i].ParentRows
-				for cur[i] < len(pr) && int(pr[cur[i]]) == r {
-					cur[i]++
-					hit = true
-				}
-			}
-			if hit {
-				out.appendRow(t, r)
+	closing := child.N() == t.P.N()
+	nv := t.P.N()
+	for {
+		r := -1
+		for i := range exts {
+			if pr := exts[i].ParentRows; cur[i] < len(pr) && (r < 0 || int(pr[cur[i]]) < r) {
+				r = int(pr[cur[i]])
 			}
 		}
-		return out
-	}
-	nv := pn
-	for r := 0; r < rows; r++ {
+		if r < 0 || r >= t.Len() {
+			return out
+		}
+		if closing {
+			// A row survives once, however many views' shares list it.
+			out.appendRow(t, r)
+		}
 		for i := range exts {
 			pr := exts[i].ParentRows
 			for cur[i] < len(pr) && int(pr[cur[i]]) == r {
-				out.appendRow(t, r)
-				out.cols[nv] = append(out.cols[nv], exts[i].NewCol[cur[i]])
+				if !closing {
+					out.appendRow(t, r)
+					out.cols[nv] = append(out.cols[nv], exts[i].NewCol[cur[i]])
+				}
 				cur[i]++
 			}
 		}
 	}
-	return out
 }

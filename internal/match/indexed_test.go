@@ -133,6 +133,27 @@ func TestIndexedMergeDifferential(t *testing.T) {
 	}
 }
 
+// TestMergeSharesStopsAtParentEnd: a share that lists a row past the
+// parent's end, which a well-formed share never does but a peer's bytes
+// may, ends the merge instead of indexing past the table.
+func TestMergeSharesStopsAtParentEnd(t *testing.T) {
+	p := pattern.SingleEdge("a", "x", "b")
+	parent, err := FromCols(p, [][]graph.NodeID{{0, 1, 2}, {3, 4, 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closing := mergeShares(parent, p.ExtendClosingEdge(1, 0, "y"),
+		[]IndexedExt{{ParentRows: []uint32{1, 7}}, {ParentRows: []uint32{2}}}, make([]int, 2))
+	if closing.Len() != 2 || closing.At(0, 0) != 1 || closing.At(1, 0) != 2 {
+		t.Fatalf("closing merge kept %d rows, want parent rows 1 and 2", closing.Len())
+	}
+	grown := mergeShares(parent, p.ExtendNewNode(0, "z", "c", true),
+		[]IndexedExt{{ParentRows: []uint32{0, 9}, NewCol: []graph.NodeID{10, 11}}}, make([]int, 1))
+	if grown.Len() != 1 || grown.At(0, 0) != 0 || grown.At(0, 2) != 10 {
+		t.Fatalf("new-node merge kept %d rows, want parent row 0 bound to node 10", grown.Len())
+	}
+}
+
 // TestIndexedMergeNilTable: the merge path must mirror the fused loop's
 // nil-table contract (empty output table, correct arity), alone and in a
 // batch.

@@ -104,17 +104,26 @@ type Backend struct {
 	// superstep each worker touches only its own).
 	workerScratch []countScratch
 	masterScratch countScratch
+	// The single-literal tables of the live evaluator, merged at the
+	// master and reused from pattern to pattern (see Evaluate): viol is
+	// the (p+1)×p violation table, supp[r] the support of row r's X (−1
+	// when no pair of the row needs one), and suppRows the rows the
+	// support superstep counts.
+	viol     discovery.Bitset
+	supp     []int
+	suppRows []int
 }
 
 // countScratch is one party's reusable counting state. A worker lays
-// what it ships out flat: runs[i] closes the i-th run (slot or pattern)
-// of counts or pivots.
+// what it ships out flat: runs[i] closes the i-th run (slot, pattern or
+// table row) of counts or pivots.
 type countScratch struct {
 	vc     *discovery.ValueCounter
 	pc     *discovery.PivotCounter
 	counts []discovery.ValueCount // observed (value, count) pairs per slot
-	pivots []graph.NodeID         // distinct local pivots per pattern
+	pivots []graph.NodeID         // distinct local pivots per pattern or row
 	runs   []int
+	viol   discovery.Bitset // the worker's violation table for its part
 }
 
 // run returns the bounds of run i.
@@ -714,19 +723,24 @@ func (b *Backend) aggregateSupports(hs []*parHandle) []int {
 	})
 	out := make([]int, len(hs))
 	b.eng.Master("support union", func() {
-		pc := master.pc
 		for i := range hs {
-			pc.Reset()
-			for w := range scratch {
-				lo, hi := scratch[w].run(i)
-				for _, v := range scratch[w].pivots[lo:hi] {
-					pc.Add(v)
-				}
-			}
-			out[i] = pc.Len()
+			out[i] = unionRun(scratch, master.pc, i)
 		}
 	})
 	return out
+}
+
+// unionRun returns the number of distinct pivots in run i of the
+// workers' scratches, counted in pc.
+func unionRun(scratch []countScratch, pc *discovery.PivotCounter, i int) int {
+	pc.Reset()
+	for w := range scratch {
+		lo, hi := scratch[w].run(i)
+		for _, v := range scratch[w].pivots[lo:hi] {
+			pc.Add(v)
+		}
+	}
+	return pc.Len()
 }
 
 // Release implements discovery.Backend.
@@ -780,15 +794,29 @@ func (b *Backend) Constants(h discovery.Handle, nvars int, gamma []string, max i
 	return out
 }
 
-// Evaluate implements discovery.Backend: one TableEval per worker over its
-// part of the rows; query results are aggregated masterside. The pool is
-// compiled once, before the superstep, and every worker scans with the
-// same compiled literals. Busy time is accumulated per worker per call
-// and charged as supersteps on Release (one communication round per
-// literal-tree level, matching the batched candidate posting of ParDis).
+// Evaluate implements discovery.Backend: one TableEval per worker over
+// its part of the rows, built in one index superstep with the pool
+// compiled once before it. The same superstep answers every Violated
+// query over an X of at most one literal: each worker fills the (p+1)×p
+// violation table of its part (TableEval.ViolationTable) and ships it,
+// and the master ORs the tables. A second superstep collects the
+// supports the table can serve. A pair X → l that no row violates has
+// the rows of X ∧ l equal to those of X on every part, so SupportXl of
+// every such pair of a row is the support of the row's X alone: each
+// worker ships its distinct local pivots of X for every row holding such
+// a pair (l ∉ X), and the master unions them (rebalanced parts share
+// pivots, so a sum would double-count). At MaxX = 1 the driver's Violated
+// and SupportXl queries are then table lookups. Every other query — an X
+// of two or more literals, CoHolds, SupportX, AttrPresent, SupportXl of a
+// violated pair — fans out to the workers' evaluators one query at a
+// time, and its busy time is charged on Release.
+//
+// The tables live in the backend's reused storage, so the next Evaluate
+// overwrites them: release an evaluator before evaluating the next
+// pattern, as the mining driver does.
 func (b *Backend) Evaluate(h discovery.Handle, pool []core.Literal) discovery.Evaluator {
 	ph := h.(*parHandle)
-	_, master := b.scratch()
+	scratch, master := b.scratch()
 	pe := &parEvaluator{
 		b:     b,
 		pool:  pool,
@@ -807,18 +835,76 @@ func (b *Backend) Evaluate(h discovery.Handle, pool []core.Literal) discovery.Ev
 		}
 	}
 	b.compiled = b.cols.Compile(b.compiled, pool)
+	p := len(pool)
+	words := ((p+1)*p + 63) / 64
 	b.eng.Superstep("index "+ph.p.String(), func(w int) {
-		pe.evs[w] = discovery.NewTableEval(b.cols, ph.parts[w], b.compiled, pe.union)
+		ev := discovery.NewTableEval(b.cols, ph.parts[w], b.compiled, pe.union)
+		pe.evs[w] = ev
+		s := &scratch[w]
+		s.viol = zeroed(s.viol, words)
+		ev.ViolationTable(s.viol)
+		b.eng.Ship(w, int64(((p+1)*p+7)/8))
+	})
+	b.eng.Master("violation merge", func() {
+		b.viol = zeroed(b.viol, words)
+		for w := range scratch {
+			for i, word := range scratch[w].viol {
+				b.viol[i] |= word
+			}
+		}
+		b.supp = b.supp[:0]
+		b.suppRows = b.suppRows[:0]
+		for r := 0; r <= p; r++ {
+			b.supp = append(b.supp, -1)
+			for l := 0; l < p; l++ {
+				if l != r-1 && !b.viol.Get(r*p+l) {
+					b.suppRows = append(b.suppRows, r)
+					break
+				}
+			}
+		}
+	})
+	if len(b.suppRows) == 0 {
+		return pe
+	}
+	b.eng.Superstep("single-literal supports", func(w int) {
+		s := &scratch[w]
+		s.pivots, s.runs = s.pivots[:0], s.runs[:0]
+		for _, r := range b.suppRows {
+			s.pivots = pe.evs[w].AppendRowPivots(s.pivots, r, s.pc)
+			s.runs = append(s.runs, len(s.pivots))
+		}
+		b.eng.Ship(w, int64(4*len(s.pivots)))
+	})
+	b.eng.Master("support union", func() {
+		for i, r := range b.suppRows {
+			b.supp[r] = unionRun(scratch, master.pc, i)
+		}
 	})
 	return pe
 }
 
-// parEvaluator fans validation queries out to per-worker TableEvals.
+// zeroed returns a zeroed bitset of words words, reusing b's storage when
+// it is large enough.
+func zeroed(b discovery.Bitset, words int) discovery.Bitset {
+	if cap(b) < words {
+		return make(discovery.Bitset, words)
+	}
+	b = b[:words]
+	clear(b)
+	return b
+}
+
+// parEvaluator answers validation queries over X sets of at most one
+// literal from the backend's merged tables, and fans every other query
+// out to the per-worker TableEvals.
 type parEvaluator struct {
-	b      *Backend
-	pool   []core.Literal
-	evs    []*discovery.TableEval
-	busy   []time.Duration
+	b     *Backend
+	pool  []core.Literal
+	evs   []*discovery.TableEval
+	busy  []time.Duration
+	calls int // fan-outs since Evaluate
+	// rounds counts the fan-outs that are communication rounds.
 	rounds int
 	union  *discovery.PivotCounter // the master's pivot union
 	// share[w] is worker w's fraction of the pattern's rows: per-call
@@ -828,6 +914,18 @@ type parEvaluator struct {
 	// distributions therefore still surface as skewed busy times.
 	share []float64
 	ship  []int64 // perWorker's per-worker shipped bytes, reused
+}
+
+// tableRow returns the single-literal table row of x, or −1 when x holds
+// two or more literals.
+func tableRow(x []int) int {
+	switch len(x) {
+	case 0:
+		return 0
+	case 1:
+		return x[0] + 1
+	}
+	return -1
 }
 
 // perWorker runs fn on every worker's evaluator, attributing the elapsed
@@ -845,9 +943,13 @@ func (pe *parEvaluator) perWorker(fn func(ev *discovery.TableEval) int64) {
 		pe.busy[w] += time.Duration(float64(el) * pe.share[w])
 		pe.b.eng.Ship(w, pe.ship[w])
 	}
+	pe.calls++
 }
 
 func (pe *parEvaluator) Violated(x []int, l int) bool {
+	if r := tableRow(x); r >= 0 {
+		return pe.b.viol.Get(r*len(pe.pool) + l)
+	}
 	violated := false
 	pe.perWorker(func(ev *discovery.TableEval) int64 {
 		if ev.Violated(x, l) {
@@ -860,6 +962,9 @@ func (pe *parEvaluator) Violated(x []int, l int) bool {
 }
 
 func (pe *parEvaluator) SupportXl(x []int, l int) int {
+	if r := tableRow(x); r >= 0 && !pe.b.viol.Get(r*len(pe.pool)+l) && pe.b.supp[r] >= 0 {
+		return pe.b.supp[r]
+	}
 	pe.union.Reset()
 	pe.perWorker(func(ev *discovery.TableEval) int64 {
 		before := pe.union.Len()
@@ -902,17 +1007,16 @@ func (pe *parEvaluator) AttrPresent(v int, attr string) bool {
 	return present
 }
 
-// Release charges the accumulated per-worker busy time. The query calls
-// issued since Evaluate are batched into a bounded number of communication
-// rounds (ParDis posts candidate batches ΣC_ij per literal level, not one
-// message per candidate).
+// Release charges the busy time of the fanned-out queries, batched into
+// a bounded number of communication rounds (ParDis posts candidate
+// batches ΣC_ij per literal level, not one message per candidate).
+// Queries the tables answered ran in Evaluate's supersteps and charge
+// nothing here.
 func (pe *parEvaluator) Release() {
-	rounds := pe.rounds
-	const maxRounds = 4 // ≈ one batch per literal level plus the negative spawn
-	if rounds > maxRounds {
-		rounds = maxRounds
+	if pe.calls > 0 {
+		const maxRounds = 4 // ≈ one batch per literal level plus the negative spawn
+		pe.b.eng.Account("validate", pe.busy, min(pe.rounds, maxRounds))
 	}
-	pe.b.eng.Account("validate", pe.busy, rounds)
 	for _, ev := range pe.evs {
 		if ev != nil {
 			ev.Release()

@@ -26,29 +26,7 @@ import (
 // Both graphs carry sparse Γ columns, which the backends project to the
 // dense layout: genre and type on YAGO2Sim, zone on the golden graph.
 func TestLiteralPlaneDifferential(t *testing.T) {
-	f, err := os.Open(goldenGraphPath)
-	if err != nil {
-		t.Fatalf("open golden graph: %v", err)
-	}
-	golden, err := graph.Read(f)
-	f.Close()
-	if err != nil {
-		t.Fatalf("read golden graph: %v", err)
-	}
-	goldenK2 := goldenSpillOptions()
-	goldenK2.K = 2
-	graphs := []struct {
-		name   string
-		g      *graph.Graph
-		opts   discovery.Options
-		sparse []string
-	}{
-		{"yago2", dataset.YAGO2Sim(60, 1),
-			discovery.Options{K: 2, Support: 8, MaxX: 2, ConstantsPerAttr: 3, WildcardNodes: true, MaxNegatives: 100},
-			[]string{"genre", "type"}},
-		{"golden", golden, goldenK2, []string{"zone"}},
-	}
-	for _, gc := range graphs {
+	for _, gc := range literalPlaneGraphs(t) {
 		prof := discovery.NewProfile(gc.g, gc.opts.ActiveAttrs)
 		for _, attr := range gc.sparse {
 			aid, ok := gc.g.LookupAttr(attr)
@@ -57,8 +35,7 @@ func TestLiteralPlaneDifferential(t *testing.T) {
 			}
 		}
 		run := func(name string, b discovery.Backend) {
-			cb := &checkedBackend{Backend: b, t: t, name: gc.name + "/" + name, g: gc.g, sparse: gc.sparse,
-				pats: map[discovery.Handle]*pattern.Pattern{}, sparseRows: map[string]int{}}
+			cb := newCheckedBackend(t, gc, name, b)
 			res := discovery.MineWithBackend(cb, prof, gc.opts)
 			if len(res.Positives) == 0 || cb.checked[qViolated] == 0 || cb.checked[qSupportXl] == 0 ||
 				cb.checked[qCoHolds] == 0 || cb.checked[qAttrPresent] == 0 {
@@ -78,6 +55,37 @@ func TestLiteralPlaneDifferential(t *testing.T) {
 				run(fmt.Sprintf("%s/n=%d", modeName, n), NewBackend(gc.g, eng, Options{LoadBalance: true}, nil))
 			}
 		}
+	}
+}
+
+// literalPlaneGraph is one input of the literal-plane tests: a graph,
+// the mining options, and the sparse Γ columns it carries.
+type literalPlaneGraph struct {
+	name   string
+	g      *graph.Graph
+	opts   discovery.Options
+	sparse []string
+}
+
+// literalPlaneGraphs returns YAGO2Sim 60 and the golden graph, both mined
+// at K = 2 and MaxX = 2.
+func literalPlaneGraphs(t *testing.T) []literalPlaneGraph {
+	f, err := os.Open(goldenGraphPath)
+	if err != nil {
+		t.Fatalf("open golden graph: %v", err)
+	}
+	golden, err := graph.Read(f)
+	f.Close()
+	if err != nil {
+		t.Fatalf("read golden graph: %v", err)
+	}
+	goldenK2 := goldenSpillOptions()
+	goldenK2.K = 2
+	return []literalPlaneGraph{
+		{"yago2", dataset.YAGO2Sim(60, 1),
+			discovery.Options{K: 2, Support: 8, MaxX: 2, ConstantsPerAttr: 3, WildcardNodes: true, MaxNegatives: 100},
+			[]string{"genre", "type"}},
+		{"golden", golden, goldenK2, []string{"zone"}},
 	}
 }
 
@@ -103,6 +111,11 @@ type checkedBackend struct {
 	sparse     []string
 	checked    [numQueryKinds]int
 	sparseRows map[string]int // evaluated rows carrying each sparse attribute
+}
+
+func newCheckedBackend(t *testing.T, gc literalPlaneGraph, name string, b discovery.Backend) *checkedBackend {
+	return &checkedBackend{Backend: b, t: t, name: gc.name + "/" + name, g: gc.g, sparse: gc.sparse,
+		pats: map[discovery.Handle]*pattern.Pattern{}, sparseRows: map[string]int{}}
 }
 
 func (c *checkedBackend) SeedBatch(ps []*pattern.Pattern) []discovery.PatOut {
@@ -177,6 +190,16 @@ func (r *refEval) holdsX(x []int, row int) bool {
 	return true
 }
 
+// violated reports whether some row satisfies X but not l.
+func (r *refEval) violated(x []int, l int) bool {
+	for row := range r.rows {
+		if r.holdsX(x, row) && !r.sat[l][row] {
+			return true
+		}
+	}
+	return false
+}
+
 func (r *refEval) support(x []int, l int) int {
 	pivots := map[graph.NodeID]struct{}{}
 	for row, m := range r.rows {
@@ -193,8 +216,6 @@ type checkedEval struct {
 	c   *checkedBackend
 }
 
-// check counts one answer and fails the test if it differs from the
-// reference. MaxX 2 in both configurations keeps every X at |X| ≤ 2.
 // fail reports an answer that differs from the reference. MaxX 2 in
 // both configurations keeps every X at |X| ≤ 2.
 func (e *checkedEval) fail(x []int, format string, args ...any) {
@@ -203,15 +224,8 @@ func (e *checkedEval) fail(x []int, format string, args ...any) {
 
 func (e *checkedEval) Violated(x []int, l int) bool {
 	got := e.ev.Violated(x, l)
-	want := false
-	for row := range e.ref.rows {
-		if e.ref.holdsX(x, row) && !e.ref.sat[l][row] {
-			want = true
-			break
-		}
-	}
 	e.c.checked[qViolated]++
-	if got != want {
+	if want := e.ref.violated(x, l); got != want {
 		e.fail(x, "Violated(l=%d) = %v, reference %v", l, got, want)
 	}
 	return got

@@ -396,6 +396,25 @@ func TestReserialise(t *testing.T) {
 	}
 }
 
+// TestGeneratedSnapshotReproducible: building the same generated graph
+// again writes the same snapshot bytes. The generators pass each node's
+// attributes to AddNode as a map, so this holds only because AddNode
+// interns them in sorted name order rather than in map order.
+func TestGeneratedSnapshotReproducible(t *testing.T) {
+	var first []byte
+	for i := 0; i < 3; i++ {
+		var buf bytes.Buffer
+		if err := Write(&buf, dataset.YAGO2Sim(60, 2)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = buf.Bytes()
+		} else if !bytes.Equal(first, buf.Bytes()) {
+			t.Fatalf("build %d of YAGO2Sim(60, 2) wrote a different snapshot", i+1)
+		}
+	}
+}
+
 // TestOpenBytesMisaligned: the decoder must cope with an arbitrarily
 // aligned buffer (one realignment copy, then identical behaviour).
 func TestOpenBytesMisaligned(t *testing.T) {

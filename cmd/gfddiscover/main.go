@@ -13,30 +13,31 @@
 //	gfddiscover -in graph.gfds -k 3 -sigma 100
 //	gfddiscover -in graph.gfds -workers 4 -fragdir /tmp/frags
 //
-// With -serve the parallel run becomes distributed: every worker except
-// worker 0 is an in-process fragment server dialed over loopback TCP,
-// and -fault injects deterministic transport faults — the mining output
-// must stay identical, absorbed by the deadline/retry/failover
-// machinery.
+// With -serve or -cluster the -fragdir run is served: the coordinator
+// listens for member announcements on a registry, and worker slots
+// 1..n-1 mine from their spill files until the balancer adopts each
+// slot's member at a superstep boundary. -serve starts one in-process
+// member per slot, announcing over loopback exactly like gfdfrag
+// -announce; -cluster ADDR chooses where the registry listens (loopback
+// port 0 otherwise), so external gfdfrag -announce servers can join. A
+// health monitor walks members healthy → suspect → dead; a dead member
+// fails over to its spill file and leaves the map, and a recovered one
+// re-announces and is adopted again. -fault, -die-after and
+// -restart-after inject transport faults and member deaths into the
+// in-process members, and -hedge-after races slow remote join shares
+// against the local spill replica. The mining output must stay
+// identical in every configuration.
 //
 //	gfddiscover -in graph.gfds -workers 4 -fragdir /tmp/frags -serve
 //	gfddiscover -in graph.gfds -workers 4 -fragdir /tmp/frags -serve -fault drop=0.05,seed=1
-//
-// With -cluster the coordinator serves a membership registry instead of
-// being handed addresses: external gfdfrag -announce servers register
-// themselves, get health-checked (healthy → suspect → dead), and worker
-// slots route to whoever legitimately holds their fragment — adopted at
-// superstep boundaries when members join or are replaced mid-run, failed
-// over to the spill file when they die. -hedge-after additionally races
-// slow remote join shares against the local spill replica.
-//
+//	gfddiscover -in graph.gfds -workers 3 -fragdir /tmp/frags -serve -die-after 40 -restart-after 300ms
 //	gfddiscover -in graph.gfds -workers 3 -fragdir /tmp/frags -cluster 127.0.0.1:7700
 //	gfddiscover -in graph.gfds -workers 3 -fragdir /tmp/frags -cluster :7700 -hedge-after 50ms -health-interval 200ms
 //
 // Observability: -trace writes a structured JSONL span log of the run
 // (levels, supersteps, shares, hedge races, failovers — summarize with
 // gfdbench -trace-report), and -debug-addr serves /metrics (Prometheus
-// text), /cluster (membership + RTT quantiles, cluster runs) and
+// text), /cluster (membership + RTT quantiles, served runs) and
 // /debug/pprof live while the run executes. Neither changes the mined
 // output.
 //
@@ -68,16 +69,15 @@ func run() int {
 	sigma := flag.Int("sigma", 25, "support threshold σ")
 	maxX := flag.Int("maxx", 1, "max LHS literals on positive GFDs")
 	workers := flag.Int("workers", 0, "simulated cluster workers (0 = sequential)")
-	fragDir := flag.String("fragdir", "", "spill fragments as snapshots to this dir and mine over the mmap-backed views (needs -workers)")
-	serve := flag.Bool("serve", false, "serve workers 1..n-1 as remote fragment servers over loopback TCP (needs -fragdir)")
+	fragDir := flag.String("fragdir", "", "spill fragments as snapshots to this dir (reused when it already holds this graph's cut) and mine over the mmap-backed views (needs -workers)")
+	serve := flag.Bool("serve", false, "serve workers 1..n-1 from in-process fragment servers that announce to the coordinator's registry (needs -fragdir, -workers >= 2)")
 	faultSpec := flag.String("fault", "", "with -serve: inject transport faults, e.g. drop=0.05,corrupt=0.01,seed=1")
-	clusterAddr := flag.String("cluster", "", "serve a membership registry on this address and mine against announced gfdfrag servers (needs -fragdir, -workers >= 2)")
-	clusterWait := flag.Duration("cluster-wait", 30*time.Second, "with -cluster: how long to wait for workers 1..n-1 to announce before mining starts")
-	hedgeAfter := flag.Duration("hedge-after", 0, "with -cluster: race remote join shares outstanding past this delay against the local spill replica")
-	healthInterval := flag.Duration("health-interval", time.Second, "with -cluster: heartbeat cadence of the member health monitor")
+	clusterAddr := flag.String("cluster", "", "serve the membership registry on this address so gfdfrag -announce servers can join (needs -fragdir, -workers >= 2; -serve alone listens on loopback port 0)")
+	clusterWait := flag.Duration("cluster-wait", 30*time.Second, "with -serve/-cluster: how long to wait for workers 1..n-1 to announce before mining starts")
+	hedgeAfter := flag.Duration("hedge-after", 0, "with -serve/-cluster: race remote join shares outstanding past this delay against the local spill replica")
+	healthInterval := flag.Duration("health-interval", time.Second, "with -serve/-cluster: heartbeat cadence of the member health monitor")
 	dieAfter := flag.Int("die-after", 0, "with -serve: kill every in-process fragment server after serving this many frames (forces failover)")
-	restartAfter := flag.Duration("restart-after", 0, "with -serve and -die-after: resurrect dead servers on their original address after this delay")
-	failback := flag.Duration("failback", 0, "with -serve/-cluster: failed-over fragments probe their server at this interval and rejoin on recovery")
+	restartAfter := flag.Duration("restart-after", 0, "with -serve and -die-after: resurrect dead servers on their address after this delay; they re-announce and are adopted again")
 	negatives := flag.Int("negatives", 50, "max negative GFDs to mine (-1 disables)")
 	showAll := flag.Bool("all", false, "print the full mined set, not just the cover")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -115,9 +115,14 @@ func run() int {
 	opts.MaxNegatives = *negatives
 	opts.Trace = tracer
 
-	// The cluster path owns the debug endpoint itself (it serves /cluster
-	// from the live registry); every other path gets metrics and pprof.
-	if *debugAddr != "" && *clusterAddr == "" {
+	// A served run owns the debug endpoint itself (it serves /cluster from
+	// the live registry); every other run gets metrics and pprof.
+	served := *serve || *clusterAddr != ""
+	if served && (*fragDir == "" || *workers < 2) {
+		fmt.Fprintln(os.Stderr, "gfddiscover: -serve and -cluster require -fragdir and -workers >= 2")
+		return 2
+	}
+	if *debugAddr != "" && !served {
 		ds, err := obs.ServeDebug(*debugAddr, obs.Default, nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gfddiscover: debug listen %s: %v\n", *debugAddr, err)
@@ -129,71 +134,39 @@ func run() int {
 
 	start := time.Now()
 	var report *gfdlib.Report
-	if *clusterAddr != "" {
-		if *fragDir == "" || *workers < 2 {
-			fmt.Fprintln(os.Stderr, "gfddiscover: -cluster requires -fragdir and -workers >= 2")
-			return 2
-		}
-		crt := gfdlib.ClusterRuntime{
-			Addr:             *clusterAddr,
-			WaitTimeout:      *clusterWait,
-			HedgeAfter:       *hedgeAfter,
-			HealthInterval:   *healthInterval,
-			FailbackInterval: *failback,
-			DebugAddr:        *debugAddr,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "gfddiscover: "+format+"\n", args...)
-			},
-		}
-		report, err = gfdlib.DiscoverCluster(g, opts, *workers, *fragDir, crt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gfddiscover: %v\n", err)
-			return 1
-		}
-		fmt.Printf("cluster run: %d/%d members at epoch %d, %d adoptions (%d wire bytes measured)\n",
-			report.Members, *workers-1, report.Epoch, report.Adoptions, report.MeasuredBytes)
-		if report.FailedOver > 0 || report.Rejoined > 0 {
-			fmt.Printf("recovery: %d fragments failed over, %d rejoined their server\n",
-				report.FailedOver, report.Rejoined)
-		}
-	} else if *serve {
-		if *fragDir == "" || *workers < 2 {
-			fmt.Fprintln(os.Stderr, "gfddiscover: -serve requires -fragdir and -workers >= 2")
-			return 2
-		}
+	if *fragDir != "" {
 		fault, err := remote.ParseFaultSpec(*faultSpec)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gfddiscover: %v\n", err)
 			return 2
 		}
-		rt := gfdlib.RemoteRuntime{
-			Fault:            fault,
-			DieAfter:         *dieAfter,
-			RestartAfter:     *restartAfter,
-			FailbackInterval: *failback,
+		rt := gfdlib.Runtime{
+			Addr:           *clusterAddr,
+			Fault:          fault,
+			DieAfter:       *dieAfter,
+			RestartAfter:   *restartAfter,
+			WaitTimeout:    *clusterWait,
+			HedgeAfter:     *hedgeAfter,
+			HealthInterval: *healthInterval,
+			DebugAddr:      *debugAddr,
+			Logf: func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, "gfddiscover: "+format+"\n", args...)
+			},
 		}
-		report, err = gfdlib.DiscoverRemote(g, opts, *workers, *fragDir, rt)
+		report, err = gfdlib.DiscoverFragments(g, opts, *workers, *fragDir, *serve, rt)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gfddiscover: %v\n", err)
 			return 1
 		}
-		fmt.Printf("distributed run: worker 0 local, workers 1..%d remote (%d wire bytes measured)\n",
-			*workers-1, report.MeasuredBytes)
-		if report.FailedOver > 0 || report.Rejoined > 0 {
-			fmt.Printf("recovery: %d fragments failed over, %d rejoined their server\n",
-				report.FailedOver, report.Rejoined)
+		if served {
+			fmt.Printf("cluster run: %d/%d members at epoch %d, %d adoptions (%d wire bytes measured)\n",
+				report.Members, *workers-1, report.Epoch, report.Adoptions, report.MeasuredBytes)
+			if report.FailedOver > 0 || report.Rejoined > 0 {
+				fmt.Printf("recovery: %d fragments failed over, %d rejoined\n", report.FailedOver, report.Rejoined)
+			}
+		} else {
+			fmt.Printf("fragments spilled to and re-attached from %s (mmap-backed views)\n", *fragDir)
 		}
-	} else if *fragDir != "" {
-		if *workers < 1 {
-			fmt.Fprintln(os.Stderr, "gfddiscover: -fragdir requires -workers >= 1")
-			return 2
-		}
-		report, err = gfdlib.DiscoverSpilled(g, opts, *workers, *fragDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gfddiscover: %v\n", err)
-			return 1
-		}
-		fmt.Printf("fragments spilled to and re-attached from %s (mmap-backed views)\n", *fragDir)
 	} else {
 		report = gfdlib.Discover(g, opts, *workers)
 	}

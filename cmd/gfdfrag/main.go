@@ -22,38 +22,32 @@
 // membership registry (gfddiscover -cluster) once it is listening: the
 // coordinator learns the worker slot, address, node range, edge count
 // and node-store fingerprint, validates them against its own cut, and
-// routes that slot's join shares to this server — including mid-run,
-// if the coordinator was already mining the slot from its spill file.
-// The announce retries with backoff, so starting servers before the
-// coordinator is fine. With -resurrect-after, the recovered incarnation
-// re-announces.
+// routes that slot's join shares to this server at its next superstep
+// boundary — including mid-run, if the coordinator was already mining
+// the slot from its spill file. The announce retries with backoff, so
+// starting servers before the coordinator is fine.
 //
 // With -resurrect-after the -die-after crash does not exit the process:
 // the server drops every connection and its listener (the coordinator
-// sees exactly a worker loss), then rebinds the same address after the
-// delay and serves again — this time without the death trap — so a
-// failback-enabled coordinator rejoins it mid-run.
+// sees exactly a worker loss and fails over), then rebinds the same
+// address after the delay and serves again — this time without the
+// death trap — and re-announces, so the coordinator adopts the
+// recovered incarnation mid-run. gfddiscover -serve runs its in-process
+// members through the same lifecycle (remote.ServeFragment).
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"time"
 
 	"repro/internal/cli"
 	"repro/internal/obs"
 	"repro/internal/remote"
-	"repro/internal/store"
 )
 
 func main() { os.Exit(run()) }
-
-// tracer records the server lifecycle (serve, announce, die, resurrect)
-// when -trace is set; the nil zero value makes every call a no-op.
-var tracer *obs.Tracer
 
 // run is the real main: it returns the exit status so the deferred
 // profile flush always runs; the -die-after crash path flushes
@@ -80,6 +74,9 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "gfdfrag: %v\n", err)
 		return 2
 	}
+	// tracer records the server lifecycle (serve, announce, die,
+	// resurrect) when -trace is set; nil makes every call a no-op.
+	var tracer *obs.Tracer
 	prof, err := cli.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gfdfrag: %v\n", err)
@@ -125,132 +122,21 @@ func run() int {
 		}
 	}
 
-	if *resurrectAfter > 0 {
-		if err := serveResurrecting(*frag, *listen, opts, *resurrectAfter, *announce); err != nil {
-			fmt.Fprintf(os.Stderr, "gfdfrag: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	ready := make(chan net.Addr, 1)
-	go func() {
-		addr := <-ready
+	err = remote.ServeFragment(context.Background(), *frag, *listen, *announce, *resurrectAfter, opts, func(name, addr string) {
 		// The bound address is the first stdout line — coordinators and
 		// tests parse it, which is what makes -listen :0 usable.
-		fmt.Printf("listening %s\n", addr)
-		tracer.Event("serve", "addr", addr.String())
-		tracer.Flush()
-		if *announce != "" {
-			if err := announceTo(*announce, *frag, addr.String()); err != nil {
-				fmt.Fprintf(os.Stderr, "gfdfrag: announce: %v\n", err)
-			}
+		switch name {
+		case "serve":
+			fmt.Printf("listening %s\n", addr)
+		case "resurrect":
+			fmt.Printf("resurrected %s\n", addr)
 		}
-	}()
-	if err := remote.ListenAndServe(*frag, *listen, opts, ready); err != nil {
+		tracer.Event(name, "addr", addr)
+		tracer.Flush()
+	})
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "gfdfrag: %v\n", err)
 		return 1
 	}
 	return 0
-}
-
-// announceTo registers the served fragment with a coordinator's
-// membership registry. The fragment file is mapped a second time just
-// to read its identity — cheap (mmap, no copy) and independent of the
-// serving mapping's lifecycle. Retries cover the usual race of fragment
-// servers starting before the coordinator's registry is up.
-func announceTo(registry, fragPath, addr string) error {
-	m, err := store.Open(fragPath)
-	if err != nil {
-		return err
-	}
-	defer m.Close()
-	fi, has := m.Fragment()
-	if !has {
-		return fmt.Errorf("%s carries no fragment metadata (not a frag-N.gfds spill file?)", fragPath)
-	}
-	info := remote.AnnounceInfo{
-		Worker:      fi.Worker,
-		Addr:        addr,
-		NodeLo:      fi.NodeLo,
-		NodeHi:      fi.NodeHi,
-		NumEdges:    m.NumEdges(),
-		Fingerprint: remote.Fingerprint(m),
-	}
-	epoch, err := remote.Announce(context.Background(), registry, info, remote.Options{
-		Backoff: remote.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second, Factor: 2, Jitter: 0.5, Attempts: 30},
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "gfdfrag: announced worker %d at %s to %s (epoch %d)\n", fi.Worker, addr, registry, epoch)
-	tracer.Event("announce", "worker", fmt.Sprint(fi.Worker), "addr", addr, "epoch", fmt.Sprint(epoch))
-	tracer.Flush()
-	return nil
-}
-
-// serveResurrecting runs the die-once-then-recover lifecycle in one
-// process: serve with the death trap armed, and when DieAfter fires
-// (Serve returns after the abrupt connection drop), rebind the same
-// bound address after the delay and serve the same mapping indefinitely.
-func serveResurrecting(fragPath, listen string, opts remote.ServerOptions, delay time.Duration, announce string) error {
-	m, err := store.Open(fragPath)
-	if err != nil {
-		return err
-	}
-	defer m.Close()
-	if _, has := m.Fragment(); !has {
-		return fmt.Errorf("%s carries no fragment metadata (not a frag-N.gfds spill file?)", fragPath)
-	}
-	s, err := remote.NewServer(m, opts)
-	if err != nil {
-		return err
-	}
-	l, err := net.Listen("tcp", listen)
-	if err != nil {
-		return err
-	}
-	addr := l.Addr().String()
-	fmt.Printf("listening %s\n", addr)
-	tracer.Event("serve", "addr", addr)
-	tracer.Flush()
-	if announce != "" {
-		go func() {
-			if err := announceTo(announce, fragPath, addr); err != nil {
-				fmt.Fprintf(os.Stderr, "gfdfrag: announce: %v\n", err)
-			}
-		}()
-	}
-	s.Serve(l)
-	if opts.DieAfter <= 0 {
-		return nil // external Close: a clean shutdown, nothing to resurrect
-	}
-	fmt.Fprintf(os.Stderr, "gfdfrag: died after %d frames; resurrecting on %s in %s\n", opts.DieAfter, addr, delay)
-	tracer.Event("die", "frames", fmt.Sprint(opts.DieAfter))
-	tracer.Flush()
-	time.Sleep(delay)
-	opts.DieAfter = 0 // the recovered incarnation stays up
-	s2, err := remote.NewServer(m, opts)
-	if err != nil {
-		return err
-	}
-	l2, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("rebinding %s: %w", addr, err)
-	}
-	fmt.Printf("resurrected %s\n", addr)
-	tracer.Event("resurrect", "addr", addr)
-	tracer.Flush()
-	if announce != "" {
-		// Re-announce: the coordinator's monitor has likely declared this
-		// worker dead and dropped it from the map; a fresh announcement
-		// lets the balancer adopt the recovered server at the next
-		// superstep boundary even without client-side failback probing.
-		go func() {
-			if err := announceTo(announce, fragPath, addr); err != nil {
-				fmt.Fprintf(os.Stderr, "gfdfrag: announce: %v\n", err)
-			}
-		}()
-	}
-	return s2.Serve(l2)
 }

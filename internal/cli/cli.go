@@ -70,21 +70,21 @@ type Report struct {
 	// MeasuredBytes is the wire traffic observed on remote fragment
 	// connections (zero unless the run used the distributed runtime).
 	MeasuredBytes int64
-	// FailedOver and Rejoined count remote fragments that ended the run
-	// serving from their spill attach, and fragments that failed back to
-	// a recovered server at least once (distributed runs only).
+	// FailedOver and Rejoined count served slots that ended the run
+	// mining from their spill file, and adoptions that brought a slot
+	// back to a recovered (or replacement) member (served runs only).
 	FailedOver, Rejoined int
 	// HedgesFired and HedgesWon count hedged replica reads: join shares
 	// recomputed locally when the wire ran past the hedge delay, and how
-	// many of those the local recompute won (cluster runs only).
+	// many of those the local recompute won (served runs only).
 	HedgesFired, HedgesWon int64
-	// Members is the cluster-map size at the end of a cluster run and
-	// Epoch its final epoch (zero for non-cluster runs).
+	// Members is the cluster-map size at the end of a served run and
+	// Epoch its final epoch (zero for other runs).
 	Members int
 	Epoch   uint64
-	// Adoptions counts mid-run re-routings of a worker slot to an
-	// announced member (joins and replacements applied at superstep
-	// boundaries).
+	// Adoptions counts routings of a worker slot to an announced member
+	// at superstep boundaries: each slot's first member, rejoins and
+	// replacements.
 	Adoptions int
 	// StealChunks counts the parent-row chunks processed by the stealing
 	// extend paths (concurrent SeqDis and ParDis) during this run, read
@@ -119,38 +119,6 @@ func Discover(v graph.View, opts discovery.Options, workers int) *Report {
 	rep.StealChunks = stealChunkTotal() - steal0
 	rep.fill(res)
 	return rep
-}
-
-// DiscoverSpilled runs the parallel pipeline through the persistent
-// fragment path: v is vertex-cut, every fragment (and the whole graph)
-// is spilled to dir as a snapshot, the directory is re-attached, and
-// ParDis workers join against the mmap-backed fragment views. The
-// attached mappings stay live for the process: the report's mined GFDs
-// hold strings that alias them.
-func DiscoverSpilled(v graph.View, opts discovery.Options, workers int, dir string) (*Report, error) {
-	src, ok := v.(store.Source)
-	if !ok {
-		return nil, fmt.Errorf("cli: %T is not serialisable as a snapshot", v)
-	}
-	if err := parallel.Spill(dir, src, parallel.VertexCut(v, workers)); err != nil {
-		return nil, err
-	}
-	att, err := parallel.Attach(dir)
-	if err != nil {
-		return nil, err
-	}
-	if att.Workers() != workers {
-		att.Close()
-		return nil, fmt.Errorf("cli: %s holds %d fragments, want %d", dir, att.Workers(), workers)
-	}
-	steal0 := stealChunkTotal()
-	eng := cluster.New(cluster.Config{Workers: workers, Obs: obs.Default, Trace: opts.Trace})
-	pr := parallel.MineFragments(context.Background(), att.Graph, att.Frags, opts, eng, parallel.Options{LoadBalance: true})
-	rep := &Report{SimulatedTime: pr.Cluster.Total(), FragmentEdges: pr.FragmentEdges}
-	rep.HedgesFired, rep.HedgesWon = pr.Cluster.HedgesFired, pr.Cluster.HedgesWon
-	rep.StealChunks = stealChunkTotal() - steal0
-	rep.fill(pr.Result)
-	return rep, nil
 }
 
 func (rep *Report) fill(res *discovery.Result) {

@@ -19,8 +19,9 @@ const (
 	// sooner).
 	Suspect
 	// Dead: enough consecutive misses to declare the member gone. Dead is
-	// latched until ObserveRejoin — the failover/failback machinery, not
-	// the health ladder, decides when a dead member is trustworthy again.
+	// latched until ObserveRejoin — the member's re-announcement and the
+	// coordinator's validated adoption, not the health ladder, decide when
+	// a dead member is trustworthy again.
 	Dead
 )
 
@@ -114,7 +115,7 @@ func (h *Health) State() HealthState {
 // RTTFactor × the rolling RTTQuantile of the member's own history marks
 // it Suspect (slow-but-alive), otherwise Healthy. A Dead member stays
 // Dead — answering one ping does not un-declare it; rejoin goes through
-// the validated failback path and ObserveRejoin.
+// a validated adoption and ObserveRejoin.
 func (h *Health) ObserveRTT(rtt time.Duration) HealthState {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -160,7 +161,7 @@ func (h *Health) ObserveMiss() HealthState {
 }
 
 // ObserveRejoin resets a Dead member to Healthy after a validated
-// failback: miss count and RTT history restart from scratch — a
+// adoption: miss count and RTT history restart from scratch — a
 // recovered server's latency profile owes nothing to its previous life.
 func (h *Health) ObserveRejoin() {
 	h.mu.Lock()

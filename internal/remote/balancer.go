@@ -22,6 +22,7 @@ type Balancer struct {
 	frags     map[int]*RemoteFragment
 	adopted   map[int]string // member address each slot currently targets
 	adoptions int
+	rejoins   int
 }
 
 // NewBalancer wires a registry to the fragments it governs. monitor may
@@ -53,6 +54,15 @@ func (b *Balancer) Adoptions() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.adoptions
+}
+
+// Rejoins returns how many adoptions re-pointed a slot that a member had
+// already served — a recovered server's re-announcement or a
+// replacement — rather than giving a slot its first member.
+func (b *Balancer) Rejoins() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.rejoins
 }
 
 // ApplyAtBoundary reconciles the fragment set with the current cluster
@@ -94,6 +104,9 @@ func (b *Balancer) ApplyAtBoundary() {
 			}
 			clean = false
 			continue
+		}
+		if b.adopted[w] != "" {
+			b.rejoins++
 		}
 		b.adopted[w] = m.Addr
 		b.adoptions++

@@ -36,13 +36,6 @@ type Options struct {
 	// mining output is unchanged because the spill file holds exactly the
 	// section bytes the server was mapping.
 	FallbackPath string
-	// FailbackInterval, when > 0, closes the recovery loop: a failed-over
-	// fragment probes its dead server at this interval and, when the
-	// handshake succeeds again with the same fragment identity and
-	// node-store fingerprint, resumes remote serving mid-run. Zero
-	// disables failback (a failed-over fragment stays local forever, the
-	// PR 6 behaviour).
-	FailbackInterval time.Duration
 	// HedgeAfter, when > 0, enables hedged replica reads: an extend batch
 	// still outstanding on the wire after this long is concurrently
 	// recomputed from the local spill replica (FallbackPath) and the first
@@ -101,15 +94,15 @@ type RemoteFragment struct {
 	opts Options
 
 	// ctx is the fragment's internal lifetime: derived from the caller's
-	// Dial context, cancelled by Close so retries, backoff sleeps and the
-	// failback prober all stop with the fragment.
+	// Dial context, cancelled by Close so retries and backoff sleeps stop
+	// with the fragment.
 	ctx    context.Context
 	cancel context.CancelFunc
 
 	info           store.FragmentInfo
 	numEdges       int
 	edgeLabelCount []uint64
-	baseFP         uint64 // handshake fingerprint; failback revalidates it
+	baseFP         uint64 // handshake fingerprint; Adopt revalidates it
 
 	planCache sync.Map
 
@@ -128,8 +121,7 @@ type RemoteFragment struct {
 	failedOver  atomic.Bool
 	dead        atomic.Bool // declared dead: calls short-circuit to local
 	closed      atomic.Bool // Close latch: calls after Close are refused
-	probing     atomic.Bool // failback prober running
-	rejoined    atomic.Bool // sticky: failback succeeded at least once
+	rejoined    atomic.Bool // sticky: an adoption revalidated at least once
 
 	suspect     atomic.Bool  // health monitor verdict: hedge sooner
 	hedgesFired atomic.Int64 // hedges launched since the last drain
@@ -227,11 +219,12 @@ func (f *RemoteFragment) TakeHedges() (fired, won int64) {
 }
 
 // FailedOver reports whether the fragment is currently serving from its
-// local spill attach after being declared dead. Failback clears it.
+// local spill attach after being declared dead (or since birth, for
+// NewLocalFragment). A validated adoption clears it.
 func (f *RemoteFragment) FailedOver() bool { return f.failedOver.Load() }
 
-// Rejoined reports whether the fragment has ever failed back: declared
-// dead, then resumed remote serving after a validated reconnect.
+// Rejoined reports whether the fragment has ever gone from serving
+// locally to serving remotely: an adoption whose handshake revalidated.
 func (f *RemoteFragment) Rejoined() bool { return f.rejoined.Load() }
 
 // TakeTransferred drains the wire-byte counter: every frame sent or
@@ -242,8 +235,8 @@ func (f *RemoteFragment) TakeTransferred() int64 { return f.transferred.Swap(0) 
 
 // Healthy probes the server with one heartbeat round-trip under ctx (no
 // retries): the liveness check, not the recovery path. It deliberately
-// ignores the dead flag — the failback prober and external monitors use
-// it to observe the wire, local fallback or not.
+// ignores the dead flag — monitors use it to observe the wire, local
+// fallback or not.
 func (f *RemoteFragment) Healthy(ctx context.Context) error {
 	_, err := f.PingRTT(ctx)
 	return err
@@ -279,7 +272,7 @@ func (f *RemoteFragment) Close() error {
 	if !f.closed.CompareAndSwap(false, true) {
 		return fmt.Errorf("remote: fragment %d (%s) already closed", f.info.Worker, f.Addr())
 	}
-	f.cancel() // stops backoff sleeps and the failback prober
+	f.cancel() // stops backoff sleeps
 	f.connMu.Lock()
 	if f.mx != nil {
 		f.mx.Close()
@@ -369,10 +362,14 @@ func (f *RemoteFragment) attempt(ctx context.Context, typ uint32, payload []byte
 // jittered backoff, and retries against a freshly dialed one. A
 // server-reported error is fatal immediately; exhausting the attempts
 // returns the last transport error — at which point the caller declares
-// the fragment dead.
+// the fragment dead. Once any call has declared it dead, its in-flight
+// siblings stop retrying too: the server is known gone.
 func (f *RemoteFragment) call(typ uint32, payload []byte) (uint32, []byte, error) {
 	var lastErr error
 	for a := 0; a < f.opts.Backoff.Attempts; a++ {
+		if f.dead.Load() {
+			return 0, nil, fmt.Errorf("remote: fragment %d at %s already declared dead", f.info.Worker, f.Addr())
+		}
 		if a > 0 {
 			mRPCRetries.Inc()
 			f.rngMu.Lock()
@@ -440,12 +437,15 @@ func (f *RemoteFragment) servingLocal() *store.MappedGraph {
 // substitute when no spill file was configured. With neither, the
 // coordinator cannot preserve correctness and the run stops with a
 // descriptive panic — returning wrong mining output is not an option.
-// Both branches latch the dead flag (so calls short-circuit straight to
-// the local view instead of re-entering the dial/retry ladder) and start
-// the failback prober when one is configured.
+// Both branches latch the dead flag, so calls short-circuit straight to
+// the local view instead of re-entering the dial/retry ladder. Only the
+// live → dead transition is logged, counted and traced: concurrent
+// calls that exhaust their retries against the same dead server land
+// here too.
 func (f *RemoteFragment) declareDead(cause error) *store.MappedGraph {
 	f.localMu.Lock()
 	m := f.local
+	source := "the local mapping"
 	if m == nil {
 		if f.opts.FallbackPath == "" {
 			f.localMu.Unlock()
@@ -462,86 +462,54 @@ func (f *RemoteFragment) declareDead(cause error) *store.MappedGraph {
 			f.localMu.Unlock()
 			panic(fmt.Sprintf("remote: fragment %d at %s declared dead (%v) but %s holds a different fragment", f.info.Worker, f.Addr(), cause, f.opts.FallbackPath))
 		}
-		f.logf("remote: fragment %d at %s declared dead (%v); failed over to %s", f.info.Worker, f.Addr(), cause, f.opts.FallbackPath)
 		f.local = m
 		f.replica = false
-	} else {
-		f.logf("remote: fragment %d at %s declared dead (%v); serving from the local mapping", f.info.Worker, f.Addr(), cause)
+		source = f.opts.FallbackPath
 	}
 	wasDead := f.dead.Swap(true)
 	f.failedOver.Store(true)
 	f.localMu.Unlock()
 	if !wasDead {
+		f.logf("remote: fragment %d at %s declared dead (%v); serving from %s", f.info.Worker, f.Addr(), cause, source)
 		mFailovers.Inc()
 		f.opts.Trace.Event("failover",
 			"worker", strconv.Itoa(f.info.Worker), "cause", cause.Error())
 	}
-	f.startFailback()
 	return m
 }
 
-// --- Failback ---
-
-// startFailback launches the recovery prober if failback is enabled and
-// one is not already running. Called from declareDead on both branches.
-func (f *RemoteFragment) startFailback() {
-	if f.opts.FailbackInterval <= 0 || f.closed.Load() {
-		return
-	}
-	if !f.probing.CompareAndSwap(false, true) {
-		return
-	}
-	go f.failbackLoop()
-}
-
-// failbackLoop probes the dead server at FailbackInterval until the
-// fragment rejoins, the fragment closes, or its context ends. Sleeps go
-// through Options.Clock so tests drive the cadence deterministically.
-func (f *RemoteFragment) failbackLoop() {
-	defer f.probing.Store(false)
-	for {
-		if err := f.opts.Clock.Sleep(f.ctx, f.opts.FailbackInterval); err != nil {
-			return
-		}
-		if f.closed.Load() {
-			return
-		}
-		if f.tryFailback() {
-			return
-		}
-	}
-}
-
-// tryFailback re-runs the handshake against the (possibly recovered)
-// server and resumes remote serving only when it proves to be the same
-// fragment of the same graph: identical worker identity, node range,
-// edge count and node-store fingerprint. A server that answers with
-// anything else — a different spill generation, a different graph —
+// tryFailback re-runs the handshake against the fragment's (adopted)
+// address and resumes remote serving only when the server proves to be
+// the same fragment of the same graph: identical worker identity, node
+// range, edge count and node-store fingerprint. A server that answers
+// with anything else — a different spill generation, a different graph —
 // leaves the fragment failed over; serving from the validated local
 // attach beats trusting an imposter.
-func (f *RemoteFragment) tryFailback() bool {
+func (f *RemoteFragment) tryFailback() error {
 	ctx, cancel := context.WithTimeout(f.ctx, f.opts.CallTimeout)
 	defer cancel()
 	typ, resp, err := f.attempt(ctx, msgHello, nil)
-	if err != nil || typ != msgHelloOK {
-		return false
+	if err == nil && typ != msgHelloOK {
+		err = fmt.Errorf("unexpected response type %d to hello", typ)
 	}
-	h, err := decodeHelloOK(resp)
+	var h helloInfo
+	if err == nil {
+		h, err = decodeHelloOK(resp)
+	}
 	if err != nil {
-		return false
+		return err
 	}
 	got := store.FragmentInfo{Worker: h.Worker, NodeLo: h.NodeLo, NodeHi: h.NodeHi}
 	if h.Fingerprint != f.baseFP || got != f.info || h.NumEdges != f.numEdges {
-		f.logf("remote: %s: failback probe reached a server holding a different fragment; staying failed over", f.Addr())
-		return false
+		return fmt.Errorf("the server holds a different fragment")
 	}
 	f.dead.Store(false)
 	f.failedOver.Store(false)
 	f.rejoined.Store(true)
 	mFailbacks.Inc()
 	f.opts.Trace.Event("failback", "worker", strconv.Itoa(f.info.Worker), "addr", f.Addr())
-	f.logf("remote: fragment %d at %s recovered; failing back to remote serving", f.info.Worker, f.Addr())
-	return true
+	f.logf("remote: fragment %d at %s validated; serving remotely", f.info.Worker, f.Addr())
+	return nil
 }
 
 // ExtendIndexed implements match.BatchExtender: the fragment's shares of
@@ -706,10 +674,10 @@ func (f *RemoteFragment) traceHedge(winner string) {
 
 // ensureLocal returns a local mapping suitable for hedged recomputes:
 // the already-resident mapping if one exists, else a fresh validated
-// attach of FallbackPath. Unlike declareDead it neither latches the
-// dead flag nor starts the failback prober — remote serving continues
-// (servingLocal only serves a spill attach once the fragment is dead),
-// the mapping just sits ready to race slow shares.
+// attach of FallbackPath. Unlike declareDead it does not latch the dead
+// flag — remote serving continues (servingLocal only serves a spill
+// attach once the fragment is dead), the mapping just sits ready to race
+// slow shares.
 func (f *RemoteFragment) ensureLocal() (*store.MappedGraph, error) {
 	f.localMu.Lock()
 	defer f.localMu.Unlock()
@@ -733,8 +701,9 @@ func (f *RemoteFragment) ensureLocal() (*store.MappedGraph, error) {
 }
 
 // FailOver applies the health monitor's Dead verdict: re-attach the
-// spill (or keep the resident replica) and serve locally until
-// failback. The in-line escalation panics without a local source —
+// spill (or keep the resident replica) and serve locally until the
+// balancer adopts a recovered member. The in-line escalation panics
+// without a local source —
 // mid-superstep there is no other way to preserve correctness — but a
 // monitor verdict arrives between calls, so here the degenerate case
 // reports an error and leaves the fragment remote instead.
@@ -780,10 +749,10 @@ func (f *RemoteFragment) Adopt(addr string) error {
 	if !f.dead.Load() {
 		return nil
 	}
-	if f.tryFailback() {
-		return nil
+	if err := f.tryFailback(); err != nil {
+		return fmt.Errorf("remote: fragment %d: adopting %s: %w; staying local", f.info.Worker, addr, err)
 	}
-	return fmt.Errorf("remote: fragment %d: adopting %s failed handshake validation; staying local", f.info.Worker, addr)
+	return nil
 }
 
 // NewLocalFragment builds a fragment that starts life failed over: every

@@ -269,8 +269,9 @@ func (c *stepClock) step(t *testing.T, n int) {
 
 // TestMonitorTransitions drives the full ladder against a real server:
 // healthy while it answers, suspect after the first missed heartbeat,
-// dead (failed over, reported up) after the second, healthy again
-// after the failback prober rejoins the restarted server.
+// dead (failed over, reported up) after the second, healthy again once
+// the restarted server is adopted, as the balancer does when it
+// re-announces.
 func TestMonitorTransitions(t *testing.T) {
 	g := dataset.DBpediaSim(120, 42)
 	dir := spillGraph(t, g, 2)
@@ -292,13 +293,11 @@ func TestMonitorTransitions(t *testing.T) {
 	go s.Serve(l)
 	addr := l.Addr().String()
 
-	// The fragment's own machinery (retries, failback prober) runs on
-	// the real clock with tight intervals; only the monitor cadence is
-	// stepped.
+	// The fragment's own retries run on the real clock; only the monitor
+	// cadence is stepped.
 	rf := dialTest(t, addr, g, Options{
-		CallTimeout:      100 * time.Millisecond,
-		FallbackPath:     fragPath,
-		FailbackInterval: 10 * time.Millisecond,
+		CallTimeout:  100 * time.Millisecond,
+		FallbackPath: fragPath,
 	})
 	sc := newStepClock()
 	var deadMu sync.Mutex
@@ -358,8 +357,7 @@ func TestMonitorTransitions(t *testing.T) {
 	}
 	deadMu.Unlock()
 
-	// Restart the server on the same address; the fragment's failback
-	// prober (real clock) rejoins it.
+	// Restart the server on the same address and adopt it.
 	s2, err := NewServer(m, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -378,7 +376,12 @@ func TestMonitorTransitions(t *testing.T) {
 	go s2.Serve(l2)
 	t.Cleanup(func() { s2.Close() })
 
-	waitCond(rf.Rejoined, "fragment never failed back")
+	if err := rf.Adopt(addr); err != nil {
+		t.Fatalf("adopting the restarted server: %v", err)
+	}
+	if rf.FailedOver() || !rf.Rejoined() {
+		t.Fatalf("adoption did not resume remote serving: failedOver=%v rejoined=%v", rf.FailedOver(), rf.Rejoined())
+	}
 	// The monitor folds the rejoin back in on its next ticks.
 	deadline := time.Now().Add(10 * time.Second)
 	for mon.State(w) != cluster.Healthy {
@@ -395,13 +398,17 @@ func TestMonitorTransitions(t *testing.T) {
 
 // TestAdoptValidation: a deferred local fragment serves correct shares
 // with no server at all, refuses to adopt a server holding a different
-// fragment, and resumes remote serving when the right one is adopted.
+// fragment — another slot of the same cut, or an imposter serving the
+// same slot of another graph — and resumes remote serving when the right
+// one is adopted.
 func TestAdoptValidation(t *testing.T) {
 	g := dataset.DBpediaSim(200, 42)
 	dir := spillGraph(t, g, 3)
+	otherDir := spillGraph(t, dataset.DBpediaSim(200, 43), 3)
 	frag1 := filepath.Join(dir, parallel.FragmentSnapshotName(1))
 	frag2 := filepath.Join(dir, parallel.FragmentSnapshotName(2))
 	wrongAddr, _ := startServer(t, frag2, ServerOptions{})
+	imposterAddr, _ := startServer(t, filepath.Join(otherDir, parallel.FragmentSnapshotName(1)), ServerOptions{})
 	rightAddr, _ := startServer(t, frag1, ServerOptions{})
 
 	rf, err := NewLocalFragment(context.Background(), g, frag1, Options{
@@ -428,11 +435,13 @@ func TestAdoptValidation(t *testing.T) {
 		t.Fatal("pre-adoption local share diverged")
 	}
 
-	if err := rf.Adopt(wrongAddr); err == nil {
-		t.Fatal("adopted a server holding a different fragment")
-	}
-	if !rf.FailedOver() {
-		t.Fatal("failed adoption flipped the fragment remote")
+	for _, bad := range []string{wrongAddr, imposterAddr} {
+		if err := rf.Adopt(bad); err == nil {
+			t.Fatalf("adopted %s, a server holding a different fragment", bad)
+		}
+		if !rf.FailedOver() || rf.Rejoined() {
+			t.Fatalf("failed adoption of %s flipped the fragment remote", bad)
+		}
 	}
 	if err := rf.Adopt(rightAddr); err != nil {
 		t.Fatalf("adopting the right server: %v", err)

@@ -203,8 +203,9 @@ func TestGoldenMiningFailover(t *testing.T) {
 
 // TestGoldenMiningFailback: the full recovery loop around the golden
 // run. A server killed mid-mine forces failover (run 1 stays golden on
-// the spill attach); the server then restarts on the same address, the
-// failback prober rejoins it, and a second mine goes back over the wire
+// the spill attach); the server then restarts on the same address and
+// re-announces to the coordinator's registry, the balancer adopts it at
+// the next superstep boundary, and a second mine goes back over the wire
 // — byte-identical both times.
 func TestGoldenMiningFailback(t *testing.T) {
 	g, want := loadGolden(t)
@@ -221,24 +222,35 @@ func TestGoldenMiningFailback(t *testing.T) {
 	frags, clients := mixFragments(t, dir, att, map[int]bool{1: true},
 		ServerOptions{DieAfter: 25},
 		Options{
-			CallTimeout:      200 * time.Millisecond,
-			Backoff:          Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond, Factor: 2, Jitter: 0.5, Attempts: 3},
-			FallbackPath:     fragPath,
-			FailbackInterval: 10 * time.Millisecond,
+			CallTimeout:  200 * time.Millisecond,
+			Backoff:      Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond, Factor: 2, Jitter: 0.5, Attempts: 3},
+			FallbackPath: fragPath,
 		})
 	rf := clients[0]
 	addr := rf.Addr()
+	reg := cluster.NewRegistry()
+	regAddr := startRegistry(t, reg, RegistryServerOptions{})
+	if _, err := reg.Announce(1, addr, 0); err != nil {
+		t.Fatal(err)
+	}
+	bal := NewBalancer(reg, nil, t.Logf)
+	bal.Manage(rf, addr)
+	mine := func() string {
+		eng := cluster.New(cluster.Config{Workers: 3})
+		res := parallel.MineFragments(context.Background(), att.Graph, frags, goldenOptions(), eng,
+			parallel.Options{LoadBalance: true, Membership: bal})
+		return canonicalizeResult(res.Result)
+	}
 
-	eng := cluster.New(cluster.Config{Workers: 3})
-	res := parallel.MineFragments(context.Background(), att.Graph, frags, goldenOptions(), eng, parallel.Options{LoadBalance: true})
-	if got := canonicalizeResult(res.Result); got != want {
+	if got := mine(); got != want {
 		t.Fatalf("failover mining diverged from golden output.\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	if !rf.FailedOver() && !rf.Rejoined() {
+	if !rf.FailedOver() {
 		t.Fatal("server died mid-mine but the fragment never failed over")
 	}
 
-	// The worker recovers: restart its server on the original address.
+	// The worker recovers: restart its server on the original address and
+	// re-announce it over the wire, as gfdfrag -resurrect-after does.
 	m2, err := store.Open(fragPath)
 	if err != nil {
 		t.Fatal(err)
@@ -263,23 +275,20 @@ func TestGoldenMiningFailback(t *testing.T) {
 		s2.Close()
 		m2.Close()
 	})
-
-	deadline := time.Now().Add(10 * time.Second)
-	for !rf.Rejoined() {
-		if time.Now().After(deadline) {
-			t.Fatal("fragment never failed back to the restarted server")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if _, err := Announce(context.Background(), regAddr, announceFrag(t, fragPath, addr, 0), Options{Backoff: testBackoff()}); err != nil {
+		t.Fatalf("re-announce: %v", err)
 	}
 
-	// Mine again, now through the rejoined fragment: still golden, and
-	// the restarted server actually carried join traffic.
-	eng2 := cluster.New(cluster.Config{Workers: 3})
-	res2 := parallel.MineFragments(context.Background(), att.Graph, frags, goldenOptions(), eng2, parallel.Options{LoadBalance: true})
-	if got := canonicalizeResult(res2.Result); got != want {
-		t.Fatalf("post-failback mining diverged from golden output.\n--- got ---\n%s--- want ---\n%s", got, want)
+	// Mine again: the first boundary adopts the recovered server, the
+	// output is still golden, and the restarted server carried join
+	// traffic beyond the adoption handshake.
+	if got := mine(); got != want {
+		t.Fatalf("post-rejoin mining diverged from golden output.\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	if s2.Served() == 0 {
-		t.Fatal("post-failback mine never reached the restarted server")
+	if rf.FailedOver() || bal.Adoptions() != 1 || bal.Rejoins() != 1 {
+		t.Fatalf("recovered server not adopted: failedOver=%v adoptions=%d rejoins=%d", rf.FailedOver(), bal.Adoptions(), bal.Rejoins())
+	}
+	if s2.Served() <= 1 {
+		t.Fatalf("the restarted server served %d frames: post-rejoin shares never reached it", s2.Served())
 	}
 }

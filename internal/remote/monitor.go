@@ -50,8 +50,8 @@ func (o MonitorOptions) withDefaults() MonitorOptions {
 // the healthy → suspect → dead ladder (cluster.Health); suspect
 // tightens the member's hedge delay, dead triggers the existing
 // failover path and reports up so the registry can drop the member. A
-// fragment that fails back (the prober's validated rejoin, or a
-// balancer adoption) resets its machine to healthy.
+// fragment that the balancer adopts again (a validated rejoin) resets its
+// machine to healthy.
 type Monitor struct {
 	opts   MonitorOptions
 	ctx    context.Context
@@ -168,9 +168,10 @@ func (m *Monitor) loop(worker int, rf *RemoteFragment, h *cluster.Health) {
 			return
 		}
 		if h.State() == cluster.Dead {
-			// The fragment is on its local attach; the failback prober owns
-			// recovery. When it (or an adoption) succeeds, fold the rejoin
-			// back into the health machine and resume probing.
+			// The fragment is on its local attach. Recovery is the member's
+			// re-announcement and the balancer's boundary adoption; when an
+			// adoption succeeds, fold the rejoin back into the health
+			// machine and resume probing.
 			if !rf.FailedOver() {
 				h.ObserveRejoin()
 				rf.SetSuspect(false)

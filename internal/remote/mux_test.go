@@ -229,147 +229,3 @@ func TestSectionsCompressionRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-// TestFailbackRejoins: the recovery ladder's closing loop. Kill the
-// server (failover to the spill attach), restart it on the same address,
-// and the prober must validate the handshake and resume remote serving —
-// with the shares still identical before, during and after.
-func TestFailbackRejoins(t *testing.T) {
-	g := dataset.YAGO2Sim(120, 4)
-	dir := spillGraph(t, g, 2)
-	fragPath := filepath.Join(dir, parallel.FragmentSnapshotName(0))
-	local, err := store.Open(fragPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer local.Close()
-
-	addr, srv := startServer(t, fragPath, ServerOptions{})
-	rf := dialTest(t, addr, g, Options{
-		CallTimeout:      100 * time.Millisecond,
-		FallbackPath:     fragPath,
-		FailbackInterval: 10 * time.Millisecond,
-	})
-
-	cases := testChildren(g)
-	check := func(stage string) {
-		t.Helper()
-		for i, tc := range cases {
-			base := match.EdgeMatches(g, tc.parent, nil)
-			if !sameExt(match.ExtendIndexed(local, base, tc.child), extendOne(rf, base, tc.child)) {
-				t.Fatalf("%s: case %d diverged", stage, i)
-			}
-		}
-	}
-	check("before kill")
-
-	srv.Close()
-	check("after kill") // forces the failover
-	if !rf.FailedOver() {
-		t.Fatal("dead server did not trigger failover")
-	}
-
-	// Restart the server on the same address. The port was just freed, but
-	// give the rebind a little patience anyway.
-	m2, err := store.Open(fragPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := NewServer(m2, ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var l2 net.Listener
-	for i := 0; i < 50; i++ {
-		l2, err = net.Listen("tcp", addr)
-		if err == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("rebind %s: %v", addr, err)
-	}
-	go s2.Serve(l2)
-	t.Cleanup(func() {
-		s2.Close()
-		m2.Close()
-	})
-
-	deadline := time.Now().Add(10 * time.Second)
-	for !rf.Rejoined() {
-		if time.Now().After(deadline) {
-			t.Fatal("fragment never failed back to the restarted server")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if rf.FailedOver() {
-		t.Fatal("rejoined fragment still reports failed-over")
-	}
-	served := s2.Served()
-	check("after failback")
-	if s2.Served() <= served {
-		t.Fatal("post-failback shares never reached the restarted server")
-	}
-	if err := rf.Healthy(context.Background()); err != nil {
-		t.Fatalf("restarted server unhealthy after failback: %v", err)
-	}
-}
-
-// TestFailbackRejectsImposter: a server that comes back on the dead
-// address serving a different graph must be refused — the fragment stays
-// on its validated local attach.
-func TestFailbackRejectsImposter(t *testing.T) {
-	g := dataset.DBpediaSim(100, 1)
-	other := dataset.DBpediaSim(100, 2)
-	dir := spillGraph(t, g, 2)
-	otherDir := spillGraph(t, other, 2)
-	fragPath := filepath.Join(dir, parallel.FragmentSnapshotName(0))
-
-	addr, srv := startServer(t, fragPath, ServerOptions{})
-	rf := dialTest(t, addr, g, Options{
-		CallTimeout:      100 * time.Millisecond,
-		FallbackPath:     fragPath,
-		FailbackInterval: 10 * time.Millisecond,
-	})
-	srv.Close()
-	tc := testChildren(g)[0]
-	extendOne(rf, match.EdgeMatches(g, tc.parent, nil), tc.child) // forces failover
-	if !rf.FailedOver() {
-		t.Fatal("dead server did not trigger failover")
-	}
-
-	// An imposter takes over the freed address, serving another graph's
-	// fragment.
-	m2, err := store.Open(filepath.Join(otherDir, parallel.FragmentSnapshotName(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := NewServer(m2, ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var l2 net.Listener
-	for i := 0; i < 50; i++ {
-		l2, err = net.Listen("tcp", addr)
-		if err == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("rebind %s: %v", addr, err)
-	}
-	go s2.Serve(l2)
-	t.Cleanup(func() {
-		s2.Close()
-		m2.Close()
-	})
-
-	// Give the prober several cycles against the imposter; the fragment
-	// must not rejoin it.
-	time.Sleep(200 * time.Millisecond)
-	if rf.Rejoined() || !rf.FailedOver() {
-		t.Fatal("fragment failed back to a server holding a different graph")
-	}
-}

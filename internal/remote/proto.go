@@ -27,9 +27,10 @@
 // declared dead and the coordinator fails over by re-attaching the
 // worker's spilled frag-N.gfds locally (the spill file is the recovery
 // unit), after which the superstep resumes with a local view and mining
-// output is unchanged. Failover closes the loop with failback: a
-// failed-over fragment keeps probing its server and, on a
-// fingerprint-validated reconnect, resumes remote serving (client.go).
+// output is unchanged. Recovery is the membership path: a restarted
+// server re-announces to the coordinator's registry (ServeFragment), and
+// the balancer adopts it at the next superstep boundary after a
+// fingerprint-validated handshake (balancer.go, RemoteFragment.Adopt).
 //
 // # Framing
 //

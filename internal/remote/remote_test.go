@@ -571,6 +571,83 @@ func TestFailoverToSpillFile(t *testing.T) {
 	}
 }
 
+// TestDeclaredDeadOnce: concurrent extends against a killed server all
+// land on the local attach, but the death is logged (and counted) once —
+// calls that were mid-ladder when a sibling declared the fragment dead
+// stop retrying instead of running their own ladders to the end.
+func TestDeclaredDeadOnce(t *testing.T) {
+	g := dataset.YAGO2Sim(120, 4)
+	dir := spillGraph(t, g, 2)
+	fragPath := filepath.Join(dir, parallel.FragmentSnapshotName(0))
+	local, err := store.Open(fragPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+
+	var mu sync.Mutex
+	var dead int
+	addr, srv := startServer(t, fragPath, ServerOptions{})
+	rf := dialTest(t, addr, g, Options{
+		CallTimeout:  100 * time.Millisecond,
+		Backoff:      Backoff{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.5, Attempts: 8},
+		FallbackPath: fragPath,
+		Logf: func(format string, args ...any) {
+			line := fmt.Sprintf(format, args...)
+			if strings.Contains(line, "declared dead") {
+				mu.Lock()
+				dead++
+				mu.Unlock()
+			}
+		},
+	})
+	srv.Close()
+
+	cases := testChildren(g)
+	const callers = 8
+	failovers := mFailovers.Value()
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, tc := range cases {
+				base := match.EdgeMatches(g, tc.parent, nil)
+				if !sameExt(match.ExtendIndexed(local, base, tc.child), extendOne(rf, base, tc.child)) {
+					errs <- fmt.Errorf("case %d diverged", i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if !rf.FailedOver() {
+		t.Fatal("dead server did not trigger failover")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if dead != 1 {
+		t.Fatalf("%d \"declared dead\" lines for one dead server, want 1", dead)
+	}
+	if n := mFailovers.Value() - failovers; n != 1 {
+		t.Fatalf("%d failovers counted for one dead server, want 1", n)
+	}
+	// A call still on the ladder when the fragment is latched dead stops
+	// at its next attempt, without touching the wire.
+	calls := mRPCCalls.Value()
+	if _, _, err := rf.call(msgPing, nil); err == nil || !strings.Contains(err.Error(), "already declared dead") {
+		t.Fatalf("call on a latched-dead fragment: err = %v, want the dead latch", err)
+	}
+	if n := mRPCCalls.Value() - calls; n != 0 {
+		t.Fatalf("call on a latched-dead fragment made %d wire attempts", n)
+	}
+}
+
 // TestDeadlineOnStalledServer: a server that accepts but never answers
 // must cost CallTimeout per attempt, not a hang; with a fallback the
 // call degrades to local.

@@ -2,11 +2,12 @@ package remote
 
 import (
 	"bytes"
-	"errors"
+	"context"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/match"
@@ -104,8 +105,8 @@ func (s *Server) Serve(l net.Listener) error {
 			return nil
 		}
 		s.conns[c] = struct{}{}
+		s.wg.Add(1) // under mu: Close must not start waiting before it
 		s.mu.Unlock()
-		s.wg.Add(1)
 		go func(raw net.Conn, cc net.Conn) {
 			defer s.wg.Done()
 			s.handle(cc)
@@ -118,19 +119,19 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // Close shuts the server down: listeners and open connections are closed
-// and in-flight handlers drain.
+// and in-flight handlers drain. Every call waits for the drain, so a
+// caller may release the mapping once Close returns, even when a
+// DieAfter death started closing first.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	for l := range s.listeners {
-		l.Close()
-	}
-	for c := range s.conns {
-		c.Close()
+	if !s.closed {
+		s.closed = true
+		for l := range s.listeners {
+			l.Close()
+		}
+		for c := range s.conns {
+			c.Close()
+		}
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
@@ -286,9 +287,17 @@ func (s *Server) sections(payload []byte) (uint32, []byte, error) {
 	return msgSectionsOK, buf.Bytes(), nil
 }
 
-// ListenAndServe opens a fragment snapshot, listens on addr and serves
-// it. ready, if non-nil, receives the bound address (useful with :0).
-func ListenAndServe(fragPath, addr string, opts ServerOptions, ready chan<- net.Addr) error {
+// ServeFragment runs one fragment server's whole lifecycle: it maps the
+// spilled fragment at fragPath, listens on listen and serves until ctx
+// ends. With a registry address the server announces itself there once
+// it is listening, as a cluster member. When opts.DieAfter kills it
+// (and no OnDeath ends the process) and restartAfter is positive, it
+// comes back on the same address after that delay, without the death
+// trap, and announces again, so the coordinator's balancer adopts the
+// recovered incarnation at its next superstep boundary. event, if set,
+// receives each lifecycle step with the address it concerns: "serve",
+// "announce", "die", "resurrect".
+func ServeFragment(ctx context.Context, fragPath, listen, registry string, restartAfter time.Duration, opts ServerOptions, event func(name, addr string)) error {
 	m, err := store.Open(fragPath)
 	if err != nil {
 		return err
@@ -297,20 +306,71 @@ func ListenAndServe(fragPath, addr string, opts ServerOptions, ready chan<- net.
 	if _, has := m.Fragment(); !has {
 		return fmt.Errorf("remote: %s carries no fragment metadata (not a frag-N.gfds spill file?)", fragPath)
 	}
-	s, err := NewServer(m, opts)
+	if event == nil {
+		event = func(string, string) {}
+	}
+	var announcers sync.WaitGroup
+	defer announcers.Wait()
+	l, err := net.Listen("tcp", listen)
 	if err != nil {
 		return err
 	}
-	l, err := net.Listen("tcp", addr)
+	addr := l.Addr().String()
+	for step := "serve"; ; step = "resurrect" {
+		s, err := NewServer(m, opts)
+		if err != nil {
+			l.Close()
+			return err
+		}
+		event(step, addr)
+		if registry != "" {
+			announcers.Add(1)
+			go func() {
+				defer announcers.Done()
+				s.announce(ctx, registry, addr, event)
+			}()
+		}
+		stop := context.AfterFunc(ctx, func() { s.Close() })
+		err = s.Serve(l)
+		stop()
+		s.Close() // the handlers drain before the mapping can be released
+		if err != nil || ctx.Err() != nil || !s.dead.Load() || restartAfter <= 0 {
+			return err
+		}
+		event("die", addr)
+		s.logf("remote: resurrecting on %s in %s", addr, restartAfter)
+		if (realClock{}).Sleep(ctx, restartAfter) != nil {
+			return nil
+		}
+		opts.DieAfter = 0 // the recovered incarnation stays up
+		if l, err = net.Listen("tcp", addr); err != nil {
+			return fmt.Errorf("remote: rebinding %s: %w", addr, err)
+		}
+	}
+}
+
+// announce registers this serving incarnation with a coordinator's
+// membership registry. The backoff is generous: fragment servers
+// routinely start before the coordinator's registry is listening.
+func (s *Server) announce(ctx context.Context, registry, addr string, event func(name, addr string)) {
+	fi, _ := s.m.Fragment()
+	info := AnnounceInfo{
+		Worker:      fi.Worker,
+		Addr:        addr,
+		NodeLo:      fi.NodeLo,
+		NodeHi:      fi.NodeHi,
+		NumEdges:    s.m.NumEdges(),
+		Fingerprint: s.fp,
+	}
+	epoch, err := Announce(ctx, registry, info, Options{
+		Backoff: Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second, Factor: 2, Jitter: 0.5, Attempts: 30},
+	})
 	if err != nil {
-		return err
+		if ctx.Err() == nil {
+			s.logf("remote: announce to %s: %v", registry, err)
+		}
+		return
 	}
-	if ready != nil {
-		ready <- l.Addr()
-	}
-	err = s.Serve(l)
-	if errors.Is(err, net.ErrClosed) {
-		err = nil
-	}
-	return err
+	s.logf("remote: announced worker %d at %s to %s (epoch %d)", fi.Worker, addr, registry, epoch)
+	event("announce", addr)
 }

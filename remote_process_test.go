@@ -9,17 +9,21 @@ package gfd
 import (
 	"bufio"
 	"context"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/match"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/pattern"
 	"repro/internal/remote"
 )
 
@@ -229,11 +233,27 @@ func TestGoldenMiningRemoteProcessKilled(t *testing.T) {
 	}
 }
 
+// wireShares counts the extend batches a remote fragment sends while it
+// is serving remotely, i.e. over the wire to its server.
+type wireShares struct {
+	*remote.RemoteFragment
+	n atomic.Int64
+}
+
+func (w *wireShares) ExtendIndexed(t *match.Table, children []*pattern.Pattern) []match.IndexedExt {
+	if !w.FailedOver() {
+		w.n.Add(1)
+	}
+	return w.RemoteFragment.ExtendIndexed(t, children)
+}
+
 // TestGoldenMiningRemoteProcessFailback: the full recovery loop across OS
-// processes. A gfdfrag with -die-after and -resurrect-after drops dead
-// mid-mine (failover to the spill file, run 1 golden), then rebinds its
-// original port; the failback-enabled coordinator rejoins it and a second
-// mine goes back over the wire — golden again.
+// processes. Two gfdfrag -announce members join the coordinator's
+// registry and are adopted at the first superstep boundary. One has
+// -die-after and -resurrect-after: it drops dead mid-mine (failover to
+// the spill file, run 1 golden), rebinds its original port and
+// re-announces; the balancer adopts it again and a second mine goes back
+// over the wire to it — golden again.
 func TestGoldenMiningRemoteProcessFailback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns OS processes")
@@ -253,59 +273,74 @@ func TestGoldenMiningRemoteProcessFailback(t *testing.T) {
 	}
 	defer att.Close()
 
+	reg := cluster.NewRegistry()
+	rs := remote.NewRegistryServer(reg, remote.RegistryServerOptions{})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rs.Serve(l)
+	defer rs.Close()
+	bal := remote.NewBalancer(reg, nil, t.Logf)
+
 	frags := make([]parallel.Fragment, workers)
 	copy(frags, att.Frags)
-	var victim *remote.RemoteFragment
+	var victim *wireShares
 	for w := 1; w < workers; w++ {
 		fragPath := filepath.Join(dir, parallel.FragmentSnapshotName(w))
-		extra := []string{}
+		extra := []string{"-announce", l.Addr().String()}
 		if w == 1 {
 			// The victim dies partway through the Extend stream, then
-			// resurrects in-process on the same port.
-			extra = []string{"-die-after", "30", "-resurrect-after", "100ms"}
+			// resurrects in-process on the same port and re-announces.
+			extra = append(extra, "-die-after", "30", "-resurrect-after", "100ms")
 		}
-		addr, _ := startFragProcess(t, bin, fragPath, extra...)
-		rf, err := remote.Dial(context.Background(), addr, att.Graph, remote.Options{
-			FallbackPath:     fragPath,
-			CallTimeout:      500 * time.Millisecond,
-			Backoff:          remote.Backoff{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.5, Attempts: 3},
-			FailbackInterval: 20 * time.Millisecond,
+		startFragProcess(t, bin, fragPath, extra...)
+		rf, err := remote.NewLocalFragment(context.Background(), att.Graph, fragPath, remote.Options{
+			CallTimeout: 500 * time.Millisecond,
+			Backoff:     remote.Backoff{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.5, Attempts: 3},
 		})
 		if err != nil {
-			t.Fatalf("dial worker %d: %v", w, err)
+			t.Fatalf("slot %d: %v", w, err)
 		}
 		defer rf.Close()
+		bal.Manage(rf, "")
 		frags[w].Sub = rf
 		if w == 1 {
-			victim = rf
+			victim = &wireShares{RemoteFragment: rf}
+			frags[w].Sub = victim
 		}
 	}
+	wctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if err := reg.Wait(wctx, workers-1); err != nil {
+		t.Fatalf("members never announced: %v", err)
+	}
+	mine := func() string {
+		eng := cluster.New(cluster.Config{Workers: workers})
+		pr := parallel.MineFragments(context.Background(), att.Graph, frags, goldenOptions(), eng,
+			parallel.Options{LoadBalance: true, Membership: bal})
+		return canonicalize(pr.Result)
+	}
 
-	eng := cluster.New(cluster.Config{Workers: workers})
-	pr := parallel.MineFragments(context.Background(), att.Graph, frags, goldenOptions(), eng, parallel.Options{LoadBalance: true})
-	if got := canonicalize(pr.Result); got != want {
+	if got := mine(); got != want {
 		t.Fatalf("mining with a dying server diverged from golden output.\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	if !victim.FailedOver() && !victim.Rejoined() {
-		t.Fatal("victim server died but its fragment never failed over")
-	}
-
-	// The resurrected process is back on its port; wait for the prober to
-	// validate and rejoin it.
-	deadline := time.Now().Add(15 * time.Second)
-	for !victim.Rejoined() {
-		if time.Now().After(deadline) {
-			t.Fatal("fragment never failed back to the resurrected gfdfrag")
+	// The resurrected process re-announces (epoch 3, after the two
+	// initial announcements); the next boundary adopts it.
+	for reg.Epoch() < 3 {
+		if wctx.Err() != nil {
+			t.Fatal("the resurrected gfdfrag never re-announced")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-
-	eng2 := cluster.New(cluster.Config{Workers: workers})
-	pr2 := parallel.MineFragments(context.Background(), att.Graph, frags, goldenOptions(), eng2, parallel.Options{LoadBalance: true})
-	if got := canonicalize(pr2.Result); got != want {
-		t.Fatalf("post-failback mining diverged from golden output.\n--- got ---\n%s--- want ---\n%s", got, want)
+	victim.n.Store(0)
+	if got := mine(); got != want {
+		t.Fatalf("post-rejoin mining diverged from golden output.\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	if stats := eng2.Stats(); stats.MeasuredBytes == 0 {
-		t.Fatal("post-failback mine measured no wire traffic; the rejoined server saw no shares")
+	if bal.Rejoins() != 1 || victim.FailedOver() {
+		t.Fatalf("the resurrected gfdfrag was not adopted again: rejoins=%d failedOver=%v", bal.Rejoins(), victim.FailedOver())
+	}
+	if victim.n.Load() == 0 {
+		t.Fatal("post-rejoin mine sent no shares to the resurrected gfdfrag")
 	}
 }

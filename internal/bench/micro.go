@@ -14,6 +14,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -119,6 +120,87 @@ func skewWorkload() (graph.View, *match.Table, *pattern.Pattern) {
 		skewChild = parent.ExtendNewNode(0, t0.EdgeLabel, t0.DstLabel, true)
 	})
 	return skewG, skewT1, skewChild
+}
+
+// Closing-batch workload: a ParDis worker's part of the YAGO2Sim 2-edge
+// pattern whose closing-edge children visit the most rows, with all of
+// those children, joined over the worker's two spilled MappedGraph
+// fragments — the shape the kernel's closing groups are built for. Built
+// lazily, like microEnv; CleanupMicro removes the spill.
+var (
+	closingOnce     sync.Once
+	closingErr      error
+	closingDir      string
+	closingAtt      *parallel.Attached
+	closingPart     *match.Table
+	closingChildren []*pattern.Pattern
+	closingViews    []graph.View
+)
+
+func closingWorkload(b *testing.B) ([]graph.View, *match.Table, []*pattern.Pattern) {
+	closingOnce.Do(func() { closingErr = buildClosingWorkload() })
+	if closingErr != nil {
+		b.Fatalf("build closing-batch workload: %v", closingErr)
+	}
+	return closingViews, closingPart, closingChildren
+}
+
+func buildClosingWorkload() error {
+	const sigma = 25
+	g := dataset.YAGO2Sim(1000, 1)
+	st := graph.NewStats(g)
+	var elabels []string
+	for _, tr := range st.FrequentTriples(sigma) {
+		if !slices.Contains(elabels, tr.EdgeLabel) {
+			elabels = append(elabels, tr.EdgeLabel)
+		}
+	}
+	// VSpawn's closing rule: an edge between two variables whose label
+	// triple is σ-frequent and which the pattern does not have yet.
+	best := 0
+	for _, p := range levelTwoChildren(g, sigma) {
+		var children []*pattern.Pattern
+		for u := 0; u < p.N(); u++ {
+			for w := 0; w < p.N(); w++ {
+				for _, el := range elabels {
+					key := graph.TripleKey{SrcLabel: p.NodeLabels[u], EdgeLabel: el, DstLabel: p.NodeLabels[w]}
+					if u != w && st.TripleCount[key] >= sigma && !p.HasEdge(u, w, el) {
+						children = append(children, p.ExtendClosingEdge(u, w, el))
+					}
+				}
+			}
+		}
+		if len(children) == 0 {
+			continue
+		}
+		e := p.Edges[0]
+		parent := pattern.SingleEdge(p.NodeLabels[e.Src], e.Label, p.NodeLabels[e.Dst])
+		t := match.ExtendRows(g, match.EdgeMatches(g, parent, nil), p)
+		if t.Len()*len(children) > best {
+			best, closingPart, closingChildren = t.Len()*len(children), t, children
+		}
+	}
+	if closingPart == nil {
+		return fmt.Errorf("no YAGO2Sim 2-edge pattern has closing-edge children")
+	}
+	dir, err := os.MkdirTemp("", "gfds-closing-micro-")
+	if err != nil {
+		return err
+	}
+	closingDir = dir
+	if err := parallel.Spill(dir, g, parallel.VertexCut(g, 2)); err != nil {
+		return err
+	}
+	if closingAtt, err = parallel.Attach(dir); err != nil {
+		return err
+	}
+	// Worker 0's part: the rows whose pivot it owns (the parent's pivot
+	// column ascends, as EdgeMatches emits it).
+	col := closingPart.PivotCol()
+	lo := closingAtt.Frags[1].NodeLo
+	closingPart = closingPart.Slice(0, sort.Search(len(col), func(r int) bool { return col[r] >= lo }))
+	closingViews = []graph.View{closingAtt.Frags[0].Sub, closingAtt.Frags[1].Sub}
+	return nil
 }
 
 // SetMicroInput points the micro suite at a graph file (TSV or snapshot,
@@ -334,6 +416,18 @@ func MicroSpecs() []MicroSpec {
 			for i := 0; i < b.N; i++ {
 				if match.ExtendRows(g, t1, child).Len() == 0 {
 					b.Fatal("empty skew extension")
+				}
+			}
+		}},
+		{"ExtendRows/closing-batch", func(b *testing.B) {
+			// All closing-edge children of one worker's parent part in one
+			// call over two spilled fragments: the closing groups' shape.
+			views, part, children := closingWorkload(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if len(match.ExtendRowsViewsBatch(views, part, children)) != len(children) {
+					b.Fatal("closing batch lost a child")
 				}
 			}
 		}},
@@ -594,6 +688,14 @@ func CleanupMicro() {
 		microE.snapPath = ""
 	}
 	cleanupRemoteMicro()
+	if closingAtt != nil {
+		closingAtt.Close()
+		closingAtt = nil
+	}
+	if closingDir != "" {
+		os.RemoveAll(closingDir)
+		closingDir = ""
+	}
 }
 
 // Micro runs the whole suite via testing.Benchmark and returns the

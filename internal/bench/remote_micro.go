@@ -283,7 +283,7 @@ func remoteMicroSpecs() []MicroSpec {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				match.ExtendIndexed(r.mapped, e.part, e.child)
+				match.ExtendIndexedBatch(r.mapped, e.part, r.one)
 			}
 		}},
 	}

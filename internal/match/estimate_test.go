@@ -37,7 +37,7 @@ func TestEstimateExtendRowsHub(t *testing.T) {
 
 	child := p.ExtendNewNode(1, "fan", "leaf", true)
 	est := EstimateExtendRows(g, tbl, child)
-	got := ExtendIndexed(g, tbl, child)
+	got := ExtendIndexedBatch(g, tbl, []*pattern.Pattern{child})[0]
 	if len(got.NewCol) != fanout {
 		t.Fatalf("true extend output %d rows, want %d", len(got.NewCol), fanout)
 	}

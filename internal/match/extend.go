@@ -1,23 +1,27 @@
 package match
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/pattern"
 )
 
-// This file is the batched extend kernel: the hot inner loop of the
-// incremental join restructured around runs of equal-pivot rows. Parent
-// tables arrive with the anchor column grouped (extension emits rows per
-// parent row in order, so equal anchors sit adjacent), which makes the
-// batching sort-free: one forward scan finds each maximal run, the CSR
-// lookup and node-label filter run once per run into a reusable scratch
-// buffer, and only the (short) per-row injectivity scan remains in the
-// innermost loop. Output is byte-identical to the row-at-a-time reference
-// in extend_ref_test.go — the label filter commutes with the injectivity
-// filter, and candidates stay in view order then CSR enumeration order —
-// which TestBatchedExtendDifferential locks.
+// This file is the extend kernel: the incremental join of one parent
+// table with all of its children over a view list. It writes each child's
+// index (IndexedExt: the parent rows each output row extends, plus the
+// new variable's bindings) into reused scratch, and the caller gathers it
+// into an exact-size table (gather) or copies it out to ship
+// (ExtendIndexedBatch), so the local path, a fragment server and the
+// local views of a merge run one enumeration. Parent tables arrive with
+// the anchor column grouped, so one forward scan finds each run of equal
+// anchors, the CSR lookup and label filter run once per run, and only the
+// per-row injectivity scan stays innermost; concrete closing edges are
+// grouped by their (source, destination) variables. Output is
+// byte-identical to the row-at-a-time reference in extend_ref_test.go.
 
 // appendCandOK appends the candidates that survive the run-invariant
 // filters — node label satisfies want (always, for a wildcard) and
@@ -42,77 +46,16 @@ func appendCandOK(dst []graph.NodeID, g graph.View, cands []graph.NodeID, want g
 	return dst
 }
 
-// kernelViews is the view list of kernel calls with the node ranges each
-// view's edges touch (graph.EdgeBounds). A fragment holds the out-edges
-// of its own source range only, and a worker's part of a table anchors
-// mostly in or near its own range, so probing every fragment for every
-// row made a worker's per-row cost linear in the fragment count. A call
-// instead narrows the views once to those that can meet its anchors
-// (narrow), and rules out the rest per row with two compares
-// (viewBounds.skip). A dropped or skipped probe would have returned
-// nothing, so the output is unchanged.
-type kernelViews struct {
-	views []graph.View
-	// bounds is indexed like views; a view that does not report bounds
-	// spans every node. nil — one view, or none reporting bounds —
-	// narrows nothing.
-	bounds viewBounds
-	// lv and lb are narrow's scratch, reused across calls.
-	lv []graph.View
-	lb viewBounds
-}
-
 // viewBounds holds the edge bounds of a view list, indexed like it.
 type viewBounds []graph.EdgeBounds
 
 // allNodes is the bounds of a view that does not report any.
 var allNodes = graph.EdgeBounds{SrcHi: ^graph.NodeID(0), DstHi: ^graph.NodeID(0)}
 
-// newKernelViews resolves the edge bounds of views.
-func newKernelViews(views []graph.View) kernelViews {
-	kv := kernelViews{views: views}
-	if len(views) < 2 {
-		return kv
-	}
-	for i, v := range views {
-		if b, ok := v.(interface{ EdgeBounds() graph.EdgeBounds }); ok {
-			if kv.bounds == nil {
-				kv.bounds = make(viewBounds, len(views))
-				for j := range kv.bounds {
-					kv.bounds[j] = allNodes
-				}
-			}
-			kv.bounds[i] = b.EdgeBounds()
-		}
-	}
-	return kv
-}
-
-// narrow returns the views, with their bounds, whose range in the given
-// direction (sources if outgoing, else destinations) meets the range of
-// the anchor column col, in view order. The result is valid until the
-// next call.
-func (kv *kernelViews) narrow(col []graph.NodeID, outgoing bool) ([]graph.View, viewBounds) {
-	if kv.bounds == nil || len(col) == 0 {
-		return kv.views, kv.bounds
-	}
-	amin, amax := col[0], col[0]
-	for _, a := range col {
-		amin, amax = min(amin, a), max(amax, a)
-	}
-	kv.lv, kv.lb = kv.lv[:0], kv.lb[:0]
-	for i, b := range kv.bounds {
-		if lo, hi := span(b, outgoing); amax >= lo && amin < hi {
-			kv.lv, kv.lb = append(kv.lv, kv.views[i]), append(kv.lb, b)
-		}
-	}
-	return kv.lv, kv.lb
-}
-
 // skip reports whether view i holds no edge at node v in the given
 // direction (out-edges of v if outgoing, else in-edges).
 func (vb viewBounds) skip(i int, v graph.NodeID, outgoing bool) bool {
-	if vb == nil {
+	if len(vb) == 0 {
 		return false
 	}
 	lo, hi := span(vb[i], outgoing)
@@ -127,9 +70,378 @@ func span(b graph.EdgeBounds, outgoing bool) (lo, hi graph.NodeID) {
 	return b.DstLo, b.DstHi
 }
 
+// kernel is the reusable state of one extend call: the view list, the
+// node ranges each view's edges touch, and the scratch of the indexes,
+// the candidate gather and the closing groups. Kernels come from a pool,
+// and a child's index lives in the scratch only until the caller has
+// consumed it, so a call allocates none of it. A fragment holds the
+// out-edges of its own source range only, so a call narrows the views to
+// those that can meet a column's anchors (narrow) and rules out the rest
+// per row with two compares (viewBounds.skip); a dropped or skipped probe
+// would have returned nothing.
+type kernel struct {
+	views []graph.View
+	// bounds is indexed like views (all nodes for a view reporting none);
+	// empty — one view, or none reporting bounds — narrows nothing.
+	bounds viewBounds
+	// lv and lb are narrow's result, valid until its next call.
+	lv []graph.View
+	lb viewBounds
+	// ranges[v] is the node range of the parent's column v, found by the
+	// call's first narrow by v: once per batch, not per child.
+	ranges  []colRange
+	idx     IndexedExt     // the index of the child at hand, or of a merge
+	cands   []graph.NodeID // one anchor run's filtered candidates
+	closing []closingChild // the call's concrete closing children
+	members []IndexedExt   // the index of each member of the group at hand
+	cur     []int          // merge cursors, one per view
+}
+
+type colRange struct {
+	lo, hi graph.NodeID
+	ok     bool
+}
+
+// closingChild is a closing-edge child with a concrete label: child i of
+// the call adds src --label--> dst between two bound variables.
+type closingChild struct {
+	i        int
+	src, dst int
+	label    graph.LabelID
+}
+
+var kernels = sync.Pool{New: func() any { return new(kernel) }}
+
+// newKernel takes a kernel from the pool over views and resolves their
+// edge bounds.
+func newKernel(views []graph.View) *kernel {
+	k := kernels.Get().(*kernel)
+	k.views, k.bounds = views, k.bounds[:0]
+	if len(views) < 2 {
+		return k
+	}
+	for i, v := range views {
+		if b, ok := v.(interface{ EdgeBounds() graph.EdgeBounds }); ok {
+			for len(k.bounds) < len(views) {
+				k.bounds = append(k.bounds, allNodes)
+			}
+			k.bounds[i] = b.EdgeBounds()
+		}
+	}
+	return k
+}
+
+// release returns k to the pool; the indexes it wrote die with it.
+func (k *kernel) release() {
+	k.views = nil
+	clear(k.lv[:cap(k.lv)])
+	kernels.Put(k)
+}
+
+// reset empties an index, keeping its storage.
+func (ext *IndexedExt) reset() {
+	ext.ParentRows, ext.NewCol = ext.ParentRows[:0], ext.NewCol[:0]
+}
+
+// setTable forgets the column ranges of the previous parent table: the
+// next narrows read t's.
+func (k *kernel) setTable(t *Table) {
+	k.ranges = k.ranges[:0]
+	for range t.cols {
+		k.ranges = append(k.ranges, colRange{})
+	}
+}
+
+// narrow returns the views, with their bounds, whose range in the given
+// direction (sources if outgoing, else destinations) meets the range of
+// t's column v, in view order. The result is valid until the next call.
+func (k *kernel) narrow(t *Table, v int, outgoing bool) ([]graph.View, viewBounds) {
+	col := t.cols[v]
+	if len(k.bounds) == 0 || len(col) == 0 {
+		return k.views, k.bounds
+	}
+	rg := &k.ranges[v]
+	if !rg.ok {
+		lo, hi := col[0], col[0]
+		for _, a := range col {
+			lo, hi = min(lo, a), max(hi, a)
+		}
+		*rg = colRange{lo: lo, hi: hi, ok: true}
+	}
+	k.lv, k.lb = k.lv[:0], k.lb[:0]
+	for i, b := range k.bounds {
+		if lo, hi := span(b, outgoing); rg.hi >= lo && rg.lo < hi {
+			k.lv, k.lb = append(k.lv, k.views[i]), append(k.lb, b)
+		}
+	}
+	return k.lv, k.lb
+}
+
+// extend computes the index of t's join with each of children over k's
+// views and hands it to emit with the child's position, once per child,
+// as soon as it is complete. Every child adds one edge to t's pattern:
+// between two bound variables, or to one new variable with index
+// t.P.N(). An index aliases k's storage and is valid only during its
+// emit call.
+func (k *kernel) extend(t *Table, children []*pattern.Pattern, emit func(i int, ext IndexedExt)) {
+	if t == nil {
+		for i := range children {
+			emit(i, IndexedExt{})
+		}
+		return
+	}
+	k.setTable(t)
+	// Labels and node structure are shared by every view (one node store,
+	// one symbol table), so a label resolves once against the first view
+	// and holds for all of them.
+	store := k.views[0]
+	pn := t.P.N()
+	k.closing = k.closing[:0]
+	for i, child := range children {
+		e := child.LastEdge()
+		elabel, eok := resolveLabel(store, e.Label)
+		k.idx.reset()
+		switch {
+		case child.N() == pn+1:
+			if newLabel, nok := resolveLabel(store, child.NodeLabels[pn]); eok && nok {
+				k.grow(t, e, elabel, newLabel, &k.idx)
+			}
+		case child.N() != pn:
+			panic(fmt.Sprintf("match: extend: child has %d vars, parent %d", child.N(), pn))
+		case !eok:
+			// A label absent from the symbol table: nothing can match it.
+		case elabel == graph.NoLabel:
+			k.closeWildcard(t, e, &k.idx)
+		default:
+			k.closing = append(k.closing, closingChild{i: i, src: e.Src, dst: e.Dst, label: elabel})
+			continue
+		}
+		emit(i, k.idx)
+	}
+	// Sorted by (source, destination, label), the concrete closing
+	// children fall into groups, and members with the same label sit
+	// together. Equal keys are equal children, so their order does not
+	// matter.
+	slices.SortFunc(k.closing, func(a, b closingChild) int {
+		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst), cmp.Compare(a.label, b.label))
+	})
+	for lo := 0; lo < len(k.closing); {
+		hi := lo + 1
+		for hi < len(k.closing) && k.closing[hi].src == k.closing[lo].src && k.closing[hi].dst == k.closing[lo].dst {
+			hi++
+		}
+		group := k.closing[lo:hi]
+		k.closeGroup(t, group)
+		for j, c := range group {
+			emit(c.i, k.members[j])
+		}
+		lo = hi
+	}
+}
+
+// closeWildcard filters t's rows for a wildcard closing edge e. A row
+// survives if any view holds an edge from its source to its destination;
+// the witness may sit in any of the source's runs, and several views may
+// hold one, so it stays row-at-a-time on HasEdgeID and keeps a row once.
+func (k *kernel) closeWildcard(t *Table, e pattern.Edge, ext *IndexedExt) {
+	srcCol, dstCol := t.cols[e.Src], t.cols[e.Dst]
+	views, vb := k.narrow(t, e.Src, true)
+	for r := range srcCol {
+		for i, v := range views {
+			if vb.skip(i, srcCol[r], true) {
+				continue
+			}
+			if v.HasEdgeID(srcCol[r], dstCol[r], graph.NoLabel) {
+				ext.ParentRows = append(ext.ParentRows, uint32(r))
+				break
+			}
+		}
+	}
+}
+
+// closeGroup filters t's rows for every closing child of one group (same
+// source and destination variables, concrete labels, sorted) into
+// k.members, indexed like group. The source column is scanned once; per
+// run of equal sources, each view is asked once per distinct member
+// label for the source's out-neighbours by it, and the run's rows are
+// tested only for the labels the source has.
+func (k *kernel) closeGroup(t *Table, group []closingChild) {
+	srcCol := t.cols[group[0].src]
+	views, vb := k.narrow(t, group[0].src, true)
+	for len(k.members) < len(group) {
+		k.members = append(k.members, IndexedExt{})
+	}
+	for j := range group {
+		k.members[j].reset()
+	}
+	for lo := 0; lo < len(srcCol); {
+		src := srcCol[lo]
+		hi := lo + 1
+		for hi < len(srcCol) && srcCol[hi] == src {
+			hi++
+		}
+		for i, v := range views {
+			if vb.skip(i, src, true) {
+				continue
+			}
+			for m, c := range group {
+				if m == 0 || group[m-1].label != c.label {
+					if ns := v.OutTo(src, c.label); len(ns) > 0 {
+						k.keepRows(t, group, m, ns, lo, hi)
+					}
+				}
+			}
+		}
+		lo = hi
+	}
+}
+
+// keepRows appends the rows in [lo, hi) whose destination is in ns to
+// the index of group member m and of the later members with its label.
+// Rows an earlier view already kept for this run (a vertex cut gives a
+// source's out-edges to one view, other view sets may not) are merged,
+// each once.
+func (k *kernel) keepRows(t *Table, group []closingChild, m int, ns []graph.NodeID, lo, hi int) {
+	dstCol := t.cols[group[m].dst]
+	for j := m; j < len(group) && group[j].label == group[m].label; j++ {
+		ext := &k.members[j]
+		n := len(ext.ParentRows)
+		for r := lo; r < hi; r++ {
+			if graph.ContainsNode(ns, dstCol[r]) {
+				ext.ParentRows = append(ext.ParentRows, uint32(r))
+			}
+		}
+		if n > 0 && ext.ParentRows[n-1] >= uint32(lo) && len(ext.ParentRows) > n {
+			for n > 0 && ext.ParentRows[n-1] >= uint32(lo) {
+				n--
+			}
+			seg := ext.ParentRows[n:]
+			slices.Sort(seg)
+			ext.ParentRows = ext.ParentRows[:n+len(slices.Compact(seg))]
+		}
+	}
+}
+
+// grow writes the index of t's join with a new-variable child whose last
+// edge e joins a bound variable (the anchor) to the new one, labelled
+// elabel, with new-node label newLabel (graph.NoLabel for wildcards).
+func (k *kernel) grow(t *Table, e pattern.Edge, elabel, newLabel graph.LabelID, ext *IndexedExt) {
+	store := k.views[0]
+	pn := len(t.cols)
+	outgoing := e.Src != pn // true: bound -> new
+	anchorVar := e.Src
+	if !outgoing {
+		anchorVar = e.Dst
+	}
+	anchorCol := t.cols[anchorVar]
+	views, vb := k.narrow(t, anchorVar, outgoing)
+	rows := len(anchorCol)
+	cols := t.cols
+	// emit1 is the per-row path of runs of length one (an ungrouped
+	// anchor column): with nothing to amortise, a gather would be waste.
+	emit1 := func(r int, cands []graph.NodeID) {
+		for _, cand := range cands {
+			if newLabel != graph.NoLabel && store.NodeLabelID(cand) != newLabel {
+				continue
+			}
+			inj := true
+			for v := 0; v < pn; v++ {
+				if cols[v][r] == cand {
+					inj = false // injectivity
+					break
+				}
+			}
+			if inj {
+				ext.ParentRows = append(ext.ParentRows, uint32(r))
+				ext.NewCol = append(ext.NewCol, cand)
+			}
+		}
+	}
+	for lo := 0; lo < rows; {
+		anchor := anchorCol[lo]
+		hi := lo + 1
+		for hi < rows && anchorCol[hi] == anchor {
+			hi++
+		}
+		if hi == lo+1 {
+			for i, v := range views {
+				if vb.skip(i, anchor, outgoing) {
+					continue
+				}
+				if elabel != graph.NoLabel {
+					if outgoing {
+						emit1(lo, v.OutTo(anchor, elabel))
+					} else {
+						emit1(lo, v.InFrom(anchor, elabel))
+					}
+				} else if outgoing {
+					rlo, rhi := v.OutRuns(anchor)
+					for rr := rlo; rr < rhi; rr++ {
+						emit1(lo, v.OutRunNodes(rr))
+					}
+				} else {
+					rlo, rhi := v.InRuns(anchor)
+					for rr := rlo; rr < rhi; rr++ {
+						emit1(lo, v.InRunNodes(rr))
+					}
+				}
+			}
+			lo = hi
+			continue
+		}
+		// The gather applies the run-invariant filters (node label,
+		// candidate ≠ anchor) once for the whole run.
+		k.cands = gatherCandidates(k.cands, views, vb, store, anchor, elabel, newLabel, outgoing)
+		scratch := k.cands
+		if len(scratch) == 0 {
+			lo = hi
+			continue
+		}
+		for r := lo; r < hi; r++ {
+			// Per row only injectivity against the non-anchor columns
+			// remains. Collisions are rare, so scan for one first: the
+			// collision-free case copies the candidate set whole.
+			collide := false
+			for v := 0; v < pn && !collide; v++ {
+				if v == anchorVar {
+					continue
+				}
+				cv := cols[v][r]
+				for _, cand := range scratch {
+					if cand == cv {
+						collide = true
+						break
+					}
+				}
+			}
+			if !collide {
+				for range scratch {
+					ext.ParentRows = append(ext.ParentRows, uint32(r))
+				}
+				ext.NewCol = append(ext.NewCol, scratch...)
+				continue
+			}
+			for _, cand := range scratch {
+				inj := true
+				for v := 0; v < pn; v++ {
+					if v != anchorVar && cols[v][r] == cand {
+						inj = false // injectivity
+						break
+					}
+				}
+				if inj {
+					ext.ParentRows = append(ext.ParentRows, uint32(r))
+					ext.NewCol = append(ext.NewCol, cand)
+				}
+			}
+		}
+		lo = hi
+	}
+}
+
 // gatherCandidates collects the filtered candidate bindings of one anchor
-// node from every view, concatenated in view order (the order the fused
-// loop enumerates them in), reusing scratch's storage.
+// node from every view, concatenated in view order (the order the
+// per-row path enumerates them in), reusing scratch's storage.
 func gatherCandidates(scratch []graph.NodeID, views []graph.View, vb viewBounds, store graph.View,
 	anchor graph.NodeID, elabel, newLabel graph.LabelID, outgoing bool) []graph.NodeID {
 	scratch = scratch[:0]
@@ -162,25 +474,35 @@ func gatherCandidates(scratch []graph.NodeID, views []graph.View, vb viewBounds,
 	return scratch
 }
 
-// appendRepeat appends n copies of v to dst: the bulk row-value emission
-// of the collision-free fast path.
-func appendRepeat[T any](dst []T, v T, n int) []T {
-	for ; n > 0; n-- {
-		dst = append(dst, v)
+// gather builds child's table from its index over t. One allocation
+// holds every column at its exact length, and each column's capacity is
+// clamped to its length, so appending to one column (a rebalance's
+// AppendRows) moves it instead of overwriting the next.
+func gather(t *Table, child *pattern.Pattern, ext IndexedExt) *Table {
+	out := NewTable(child)
+	rows := len(ext.ParentRows)
+	if rows == 0 {
+		return out
 	}
-	return dst
+	buf := make([]graph.NodeID, rows*len(out.cols))
+	for v := range out.cols {
+		col := buf[v*rows : (v+1)*rows : (v+1)*rows]
+		if v < len(t.cols) {
+			src := t.cols[v]
+			for j, r := range ext.ParentRows {
+				col[j] = src[r]
+			}
+		} else {
+			copy(col, ext.NewCol)
+		}
+		out.cols[v] = col
+	}
+	return out
 }
 
+// extendRowsViews is the one-child form of ExtendRowsViewsBatch.
 func extendRowsViews(views []graph.View, t *Table, child *pattern.Pattern) *Table {
-	// A view that computes its own share of the join (a remote fragment)
-	// switches the call to the index-merge path as a one-child batch;
-	// local views in the same mix run the identical per-view computation
-	// in-process and the merge reproduces the kernel's row order exactly.
-	if hasBatchExtender(views) {
-		return extendRowsMerge(views, t, []*pattern.Pattern{child})[0]
-	}
-	kv := newKernelViews(views)
-	return countExtend(extendRowsViewsKernel(&kv, t, child))
+	return ExtendRowsViewsBatch(views, t, []*pattern.Pattern{child})[0]
 }
 
 // countExtend records one extend call and its output rows.
@@ -190,372 +512,28 @@ func countExtend(out *Table) *Table {
 	return out
 }
 
-func extendRowsViewsKernel(kv *kernelViews, t *Table, child *pattern.Pattern) *Table {
-	out := NewTable(child)
-	if t == nil {
-		return out
-	}
-	// Labels and node structure are shared by every view (one node store,
-	// one symbol table), so the new edge's label resolves once against the
-	// first view and holds for all of them.
-	store := kv.views[0]
-	parent := t.P
-	e := child.LastEdge()
-	elabel, eok := resolveLabel(store, e.Label)
-	if !eok {
-		return out
-	}
-	pn := parent.N()
-	switch child.N() {
-	case pn:
-		// Closing edge between two bound variables: filter rows. A row
-		// survives if any view holds the edge (each concrete edge lives in
-		// exactly one view; a wildcard label may be witnessed by several,
-		// hence the boolean any-view test rather than a per-view append).
-		srcCol, dstCol := t.cols[e.Src], t.cols[e.Dst]
-		views, vb := kv.narrow(srcCol, true)
-		if elabel == graph.NoLabel {
-			// Wildcard closing edge: the witness may sit in any of the
-			// source's runs, so stay row-at-a-time on HasEdgeID.
-			for r := range srcCol {
-				for i, v := range views {
-					if vb.skip(i, srcCol[r], true) {
-						continue
-					}
-					if v.HasEdgeID(srcCol[r], dstCol[r], elabel) {
-						out.appendRow(t, r)
-						break
-					}
-				}
-			}
-			return out
-		}
-		// Concrete label: resolve each view's adjacency run once per run of
-		// equal sources; the per-row work is one binary search per view. A
-		// run whose source has no such out-edge in any view keeps no row,
-		// so its rows are not visited.
-		neigh := make([][]graph.NodeID, len(views))
-		for lo := 0; lo < len(srcCol); {
-			src := srcCol[lo]
-			hi := lo + 1
-			for hi < len(srcCol) && srcCol[hi] == src {
-				hi++
-			}
-			found := false
-			for i, v := range views {
-				neigh[i] = nil
-				if !vb.skip(i, src, true) {
-					neigh[i] = v.OutTo(src, elabel)
-					found = found || len(neigh[i]) > 0
-				}
-			}
-			if !found {
-				lo = hi
-				continue
-			}
-			for r := lo; r < hi; r++ {
-				for _, ns := range neigh {
-					if graph.ContainsNode(ns, dstCol[r]) {
-						out.appendRow(t, r)
-						break
-					}
-				}
-			}
-			lo = hi
-		}
-	case pn + 1:
-		nv := pn
-		newLabel, nok := resolveLabel(store, child.NodeLabels[nv])
-		if !nok {
-			return out
-		}
-		outgoing := e.Src != nv // true: bound -> new
-		anchorVar := e.Src
-		if !outgoing {
-			anchorVar = e.Dst
-		}
-		anchorCol := t.cols[anchorVar]
-		views, vb := kv.narrow(anchorCol, outgoing)
-		rows := len(anchorCol)
-		cols := t.cols[:pn]
-		// emit1 is the unbatched per-row path: candidates straight off the
-		// CSR slice, label and injectivity checks inline, no materialisation.
-		// Runs of length one (an ungrouped anchor column) take it — there is
-		// nothing to amortise, so the gather would be pure overhead.
-		emit1 := func(r int, cands []graph.NodeID) {
-			for _, cand := range cands {
-				if newLabel != graph.NoLabel && store.NodeLabelID(cand) != newLabel {
-					continue
-				}
-				inj := true
-				for v := 0; v < pn; v++ {
-					if cols[v][r] == cand {
-						inj = false // injectivity
-						break
-					}
-				}
-				if !inj {
-					continue
-				}
-				out.appendRow(t, r)
-				out.cols[nv] = append(out.cols[nv], cand)
-			}
-		}
-		var scratch []graph.NodeID
-		for lo := 0; lo < rows; {
-			anchor := anchorCol[lo]
-			hi := lo + 1
-			for hi < rows && anchorCol[hi] == anchor {
-				hi++
-			}
-			if hi == lo+1 {
-				for i, v := range views {
-					if vb.skip(i, anchor, outgoing) {
-						continue
-					}
-					if elabel != graph.NoLabel {
-						if outgoing {
-							emit1(lo, v.OutTo(anchor, elabel))
-						} else {
-							emit1(lo, v.InFrom(anchor, elabel))
-						}
-					} else if outgoing {
-						rlo, rhi := v.OutRuns(anchor)
-						for rr := rlo; rr < rhi; rr++ {
-							emit1(lo, v.OutRunNodes(rr))
-						}
-					} else {
-						rlo, rhi := v.InRuns(anchor)
-						for rr := rlo; rr < rhi; rr++ {
-							emit1(lo, v.InRunNodes(rr))
-						}
-					}
-				}
-				lo = hi
-				continue
-			}
-			// The gather applies the run-invariant filters (node label,
-			// candidate ≠ anchor) once for the whole run.
-			scratch = gatherCandidates(scratch, views, vb, store, anchor, elabel, newLabel, outgoing)
-			if len(scratch) == 0 {
-				lo = hi
-				continue
-			}
-			m := len(scratch)
-			for r := lo; r < hi; r++ {
-				// Per row only injectivity against the non-anchor columns
-				// remains. Collisions are rare, so scan for one first: the
-				// collision-free case bulk-copies the candidate set and
-				// repeats the row values column-wise — the same rows in the
-				// same order as per-candidate emission, minus its per-element
-				// bookkeeping.
-				collide := false
-				for v := 0; v < pn && !collide; v++ {
-					if v == anchorVar {
-						continue
-					}
-					cv := cols[v][r]
-					for _, cand := range scratch {
-						if cand == cv {
-							collide = true
-							break
-						}
-					}
-				}
-				if !collide {
-					for v := 0; v < pn; v++ {
-						out.cols[v] = appendRepeat(out.cols[v], cols[v][r], m)
-					}
-					out.cols[nv] = append(out.cols[nv], scratch...)
-					continue
-				}
-				for _, cand := range scratch {
-					inj := true
-					for v := 0; v < pn; v++ {
-						if v != anchorVar && cols[v][r] == cand {
-							inj = false // injectivity
-							break
-						}
-					}
-					if !inj {
-						continue
-					}
-					out.appendRow(t, r)
-					out.cols[nv] = append(out.cols[nv], cand)
-				}
-			}
-			lo = hi
-		}
-	default:
-		panic(fmt.Sprintf("match: ExtendRows: child has %d vars, parent %d", child.N(), pn))
-	}
+// ExtendIndexedBatch computes one view's shares of the indexed join of t
+// with each of children, indexed like children: the local form of
+// BatchExtender, run by the fragment server, the failover and hedge
+// paths, and the merge for local views standing next to remote ones.
+// Each share is copied out of the kernel at its exact size; an empty
+// list stays nil, so a new-variable share with no rows reads like a
+// closing one on the wire, as it always has.
+func ExtendIndexedBatch(g graph.View, t *Table, children []*pattern.Pattern) []IndexedExt {
+	mExtendIndexed.Add(int64(len(children)))
+	out := make([]IndexedExt, len(children))
+	k := newKernel([]graph.View{g})
+	defer k.release()
+	k.extend(t, children, func(i int, ext IndexedExt) {
+		out[i] = IndexedExt{ParentRows: exactCopy(ext.ParentRows), NewCol: exactCopy(ext.NewCol)}
+	})
 	return out
 }
 
-// ExtendIndexedBatch computes one view's shares of the indexed join of t
-// with each of children locally, indexed like children: the local form
-// of BatchExtender, run by the fragment server, the failover and hedge
-// paths, and the merge for local views standing next to remote ones.
-func ExtendIndexedBatch(g graph.View, t *Table, children []*pattern.Pattern) []IndexedExt {
-	exts := make([]IndexedExt, len(children))
-	for i, child := range children {
-		exts[i] = ExtendIndexed(g, t, child)
+// exactCopy returns a copy of s with len == cap, or nil if s is empty.
+func exactCopy[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
 	}
-	return exts
-}
-
-// ExtendIndexed computes one view's share of the indexed join locally:
-// the implementation behind BatchExtender. The fragment server runs
-// exactly this against its own snapshot; the merge path runs it for local
-// views standing next to remote ones. It is the single-view form of the
-// batched kernel above, and its candidate enumeration mirrors
-// extendRowsViews clause for clause — any divergence would break the
-// byte-identical-merge contract.
-func ExtendIndexed(g graph.View, t *Table, child *pattern.Pattern) IndexedExt {
-	mExtendIndexed.Inc()
-	var ext IndexedExt
-	if t == nil {
-		return ext
-	}
-	parent := t.P
-	e := child.LastEdge()
-	elabel, eok := resolveLabel(g, e.Label)
-	if !eok {
-		return ext
-	}
-	pn := parent.N()
-	views := [1]graph.View{g}
-	switch child.N() {
-	case pn:
-		srcCol, dstCol := t.cols[e.Src], t.cols[e.Dst]
-		if elabel == graph.NoLabel {
-			for r := range srcCol {
-				if g.HasEdgeID(srcCol[r], dstCol[r], elabel) {
-					ext.ParentRows = append(ext.ParentRows, uint32(r))
-				}
-			}
-			return ext
-		}
-		for lo := 0; lo < len(srcCol); {
-			src := srcCol[lo]
-			hi := lo + 1
-			for hi < len(srcCol) && srcCol[hi] == src {
-				hi++
-			}
-			ns := g.OutTo(src, elabel)
-			if len(ns) > 0 {
-				for r := lo; r < hi; r++ {
-					if graph.ContainsNode(ns, dstCol[r]) {
-						ext.ParentRows = append(ext.ParentRows, uint32(r))
-					}
-				}
-			}
-			lo = hi
-		}
-	case pn + 1:
-		newLabel, nok := resolveLabel(g, child.NodeLabels[pn])
-		if !nok {
-			return ext
-		}
-		outgoing := e.Src != pn
-		anchorVar := e.Src
-		if !outgoing {
-			anchorVar = e.Dst
-		}
-		anchorCol := t.cols[anchorVar]
-		rows := len(anchorCol)
-		cols := t.cols[:pn]
-		emit1 := func(r int, cands []graph.NodeID) {
-			for _, cand := range cands {
-				if newLabel != graph.NoLabel && g.NodeLabelID(cand) != newLabel {
-					continue
-				}
-				inj := true
-				for v := 0; v < pn; v++ {
-					if cols[v][r] == cand {
-						inj = false // injectivity
-						break
-					}
-				}
-				if !inj {
-					continue
-				}
-				ext.ParentRows = append(ext.ParentRows, uint32(r))
-				ext.NewCol = append(ext.NewCol, cand)
-			}
-		}
-		var scratch []graph.NodeID
-		for lo := 0; lo < rows; {
-			anchor := anchorCol[lo]
-			hi := lo + 1
-			for hi < rows && anchorCol[hi] == anchor {
-				hi++
-			}
-			if hi == lo+1 {
-				if elabel != graph.NoLabel {
-					if outgoing {
-						emit1(lo, g.OutTo(anchor, elabel))
-					} else {
-						emit1(lo, g.InFrom(anchor, elabel))
-					}
-				} else if outgoing {
-					rlo, rhi := g.OutRuns(anchor)
-					for rr := rlo; rr < rhi; rr++ {
-						emit1(lo, g.OutRunNodes(rr))
-					}
-				} else {
-					rlo, rhi := g.InRuns(anchor)
-					for rr := rlo; rr < rhi; rr++ {
-						emit1(lo, g.InRunNodes(rr))
-					}
-				}
-				lo = hi
-				continue
-			}
-			scratch = gatherCandidates(scratch, views[:], nil, g, anchor, elabel, newLabel, outgoing)
-			if len(scratch) == 0 {
-				lo = hi
-				continue
-			}
-			m := len(scratch)
-			for r := lo; r < hi; r++ {
-				collide := false
-				for v := 0; v < pn && !collide; v++ {
-					if v == anchorVar {
-						continue
-					}
-					cv := cols[v][r]
-					for _, cand := range scratch {
-						if cand == cv {
-							collide = true
-							break
-						}
-					}
-				}
-				if !collide {
-					ext.ParentRows = appendRepeat(ext.ParentRows, uint32(r), m)
-					ext.NewCol = append(ext.NewCol, scratch...)
-					continue
-				}
-				for _, cand := range scratch {
-					inj := true
-					for v := 0; v < pn; v++ {
-						if v != anchorVar && cols[v][r] == cand {
-							inj = false // injectivity
-							break
-						}
-					}
-					if !inj {
-						continue
-					}
-					ext.ParentRows = append(ext.ParentRows, uint32(r))
-					ext.NewCol = append(ext.NewCol, cand)
-				}
-			}
-			lo = hi
-		}
-	default:
-		panic("match: ExtendIndexed: child must add exactly one edge")
-	}
-	return ext
+	return append(make([]T, 0, len(s)), s...)
 }

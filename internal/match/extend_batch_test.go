@@ -161,9 +161,11 @@ func sourceRangeViews(g *graph.Graph, k, own int) []graph.View {
 // TestExtendViewsNarrowing: over source-range fragments, where most views
 // hold no edge at a row's anchor, the kernel's narrowing of the views per
 // call and skipping per row must leave every parent part's extension —
-// single and batched — identical to the reference, which probes every
-// view. Parts are row ranges of a pivot-ordered table, as a worker's
-// part is, so narrowing does drop views.
+// single and batched, heap SubCSR or spilled MappedGraph fragments —
+// identical to the reference, which probes every view. Parts are row
+// ranges of a pivot-ordered table, as a worker's part is, so narrowing
+// does drop views; the batch carries a closing group, so grouped children
+// are narrowed too.
 func TestExtendViewsNarrowing(t *testing.T) {
 	narrowed := 0
 	f := func(seed int64) bool {
@@ -172,26 +174,30 @@ func TestExtendViewsNarrowing(t *testing.T) {
 		p1, child := randomChild(r)
 		_, sibling := randomChild(r)
 		sibling = p1.ExtendNewNode(r.Intn(2), sibling.LastEdge().Label, pattern.Wildcard, r.Intn(2) == 0)
+		children := append([]*pattern.Pattern{child, sibling}, closingGroup(r, p1)...)
 		k := 2 + r.Intn(5)
 		views := sourceRangeViews(g, k, r.Intn(k))
-		kv := newKernelViews(views)
+		if r.Intn(2) == 0 {
+			views = mappedViews(t, views)
+		}
+		kern := newKernel(views)
+		defer kern.release()
 		t1 := EdgeMatches(g, p1, nil)
 		step := 1 + r.Intn(6)
 		for lo := 0; lo < t1.Len(); lo += step {
 			part := t1.Slice(lo, min(lo+step, t1.Len()))
-			for _, c := range []*pattern.Pattern{child, sibling} {
-				if !tablesIdentical(extendRowsViews(views, part, c), extendRowsViewsRef(views, part, c)) {
+			batch := ExtendRowsViewsBatch(views, part, children)
+			for i, c := range children {
+				want := extendRowsViewsRef(views, part, c)
+				if !tablesIdentical(extendRowsViews(views, part, c), want) ||
+					!tablesIdentical(batch[i], want) || !exactSize(batch[i]) {
 					return false
 				}
 			}
-			batch := ExtendRowsViewsBatch(views, part, []*pattern.Pattern{child, sibling})
-			if !tablesIdentical(batch[0], extendRowsViewsRef(views, part, child)) ||
-				!tablesIdentical(batch[1], extendRowsViewsRef(views, part, sibling)) {
-				return false
-			}
+			kern.setTable(part)
 			for v := 0; v < 2; v++ {
 				for _, outgoing := range []bool{true, false} {
-					if lv, _ := kv.narrow(part.Col(v), outgoing); len(lv) < len(views) {
+					if lv, _ := kern.narrow(part, v, outgoing); len(lv) < len(views) {
 						narrowed++
 					}
 				}
@@ -216,7 +222,7 @@ func TestBatchedExtendIndexedDifferential(t *testing.T) {
 		g := randomGraph(r, 4+r.Intn(10))
 		p1, child := randomChild(r)
 		t1 := EdgeMatches(g, p1, nil)
-		got := ExtendIndexed(g, t1, child)
+		got := ExtendIndexedBatch(g, t1, []*pattern.Pattern{child})[0]
 		want := extendIndexedRef(g, t1, child)
 		return reflect.DeepEqual(got.ParentRows, want.ParentRows) &&
 			reflect.DeepEqual(got.NewCol, want.NewCol)

@@ -12,6 +12,15 @@ import (
 // row, no run batching. It is the correctness oracle of the differential
 // tests: the batched kernel must reproduce its output byte-for-byte.
 
+// appendRow appends row r of src to t, over src's columns (t may have one
+// extra trailing column, filled by the caller): the references' row
+// builder, one append per cell.
+func (t *Table) appendRow(src *Table, r int) {
+	for v := range src.cols {
+		t.cols[v] = append(t.cols[v], src.cols[v][r])
+	}
+}
+
 // ExtendRowsRef is the row-at-a-time reference form of ExtendRows.
 func ExtendRowsRef(g graph.View, t *Table, child *pattern.Pattern) *Table {
 	return extendRowsViewsRef([]graph.View{g}, t, child)

@@ -2,6 +2,7 @@ package match
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -40,7 +41,7 @@ func FromCols(p *pattern.Pattern, cols [][]graph.NodeID) (*Table, error) {
 // child ParentRows lists the surviving rows (unique, ascending) and
 // NewCol is nil. Candidates for one parent row appear in the view's
 // enumeration order, so merging per-view shares in view order reproduces
-// the exact row order of the fused loop in extendRowsViews.
+// the exact row order of the local kernel.
 type IndexedExt struct {
 	ParentRows []uint32
 	NewCol     []graph.NodeID
@@ -52,7 +53,7 @@ type IndexedExt struct {
 // of one parent table, so the parent crosses the wire once however many
 // children extend it; the returned shares are indexed like children.
 // ExtendRowsViews and ExtendRowsViewsBatch detect it and switch to the
-// index-merge path, which is byte-identical to the fused local loop
+// index-merge path, which is byte-identical to the local kernel
 // (locked by TestIndexedMergeDifferential).
 type BatchExtender interface {
 	ExtendIndexed(t *Table, children []*pattern.Pattern) []IndexedExt
@@ -70,8 +71,9 @@ func hasBatchExtender(views []graph.View) bool {
 
 // ExtendRowsViewsBatch extends one parent table by each of children over
 // the same views: out[i] is byte-identical to ExtendRowsViews(views, t,
-// children[i]). Local views run the fused kernel once per child; a
-// BatchExtender view computes the shares of all children in one call.
+// children[i]). Local views run the kernel once for all children and
+// gather each child's table from its index; a BatchExtender view computes
+// the shares of all children in one call.
 func ExtendRowsViewsBatch(views []graph.View, t *Table, children []*pattern.Pattern) []*Table {
 	if len(views) == 0 {
 		panic("match: ExtendRowsViewsBatch: no views")
@@ -80,20 +82,21 @@ func ExtendRowsViewsBatch(views []graph.View, t *Table, children []*pattern.Patt
 		return extendRowsMerge(views, t, children)
 	}
 	out := make([]*Table, len(children))
-	kv := newKernelViews(views)
-	for i, child := range children {
-		out[i] = countExtend(extendRowsViewsKernel(&kv, t, child))
-	}
+	k := newKernel(views)
+	defer k.release()
+	k.extend(t, children, func(i int, ext IndexedExt) {
+		out[i] = countExtend(gather(t, children[i], ext))
+	})
 	return out
 }
 
-// extendRowsMerge is the index-merge form of extendRowsViews, taken when
-// any view computes its own shares (BatchExtender). Each view produces
-// one IndexedExt per child — remotely or via the local reference
-// implementation — and each child's shares are merged per parent row in
-// view order, reproducing the fused loop's row order exactly: for every
-// parent row, view 0's extensions precede view 1's, and a closing-edge
-// row is kept once no matter how many views witness the edge.
+// extendRowsMerge is the index-merge form of ExtendRowsViewsBatch, taken
+// when any view computes its own shares (BatchExtender). Each view
+// produces one IndexedExt per child — remotely or via the local kernel —
+// and each child's shares are merged per parent row in view order,
+// reproducing the local kernel's row order exactly: for every parent
+// row, view 0's extensions precede view 1's, and a closing-edge row is
+// kept once no matter how many views witness the edge.
 func extendRowsMerge(views []graph.View, t *Table, children []*pattern.Pattern) []*Table {
 	out := make([]*Table, len(children))
 	if t == nil {
@@ -126,28 +129,30 @@ func extendRowsMerge(views []graph.View, t *Table, children []*pattern.Pattern) 
 		}
 	}
 	pipelined.Wait()
+	k := newKernel(nil)
+	defer k.release()
 	exts := make([]IndexedExt, len(views))
-	cur := make([]int, len(views))
 	for c, child := range children {
 		for i := range shares {
 			exts[i] = shares[i][c]
 		}
-		clear(cur)
-		out[c] = countExtend(mergeShares(t, child, exts, cur))
+		out[c] = countExtend(gather(t, child, k.mergeShares(t, child, exts)))
 	}
 	return out
 }
 
 // mergeShares merges one child's per-view shares (exts, indexed by view)
-// into its table; cur is per-view cursor scratch, zeroed by the caller.
-// It visits only the parent rows some share lists: each step takes the
-// least row under the cursors, then advances every view's cursor past it.
-// Rows past the parent's end, which no well-formed share lists, end the
-// merge.
-func mergeShares(t *Table, child *pattern.Pattern, exts []IndexedExt, cur []int) *Table {
-	out := NewTable(child)
+// into one index in k's storage, valid until k's next use. It visits only
+// the parent rows some share lists: each step takes the least row under
+// the cursors, then advances every view's cursor past it. Rows past the
+// parent's end, which no well-formed share lists, end the merge.
+func (k *kernel) mergeShares(t *Table, child *pattern.Pattern, exts []IndexedExt) IndexedExt {
+	idx := &k.idx
+	idx.reset()
+	k.cur = slices.Grow(k.cur[:0], len(exts))[:len(exts)]
+	clear(k.cur)
+	cur := k.cur
 	closing := child.N() == t.P.N()
-	nv := t.P.N()
 	for {
 		r := -1
 		for i := range exts {
@@ -156,18 +161,18 @@ func mergeShares(t *Table, child *pattern.Pattern, exts []IndexedExt, cur []int)
 			}
 		}
 		if r < 0 || r >= t.Len() {
-			return out
+			return *idx
 		}
 		if closing {
 			// A row survives once, however many views' shares list it.
-			out.appendRow(t, r)
+			idx.ParentRows = append(idx.ParentRows, uint32(r))
 		}
 		for i := range exts {
 			pr := exts[i].ParentRows
 			for cur[i] < len(pr) && int(pr[cur[i]]) == r {
 				if !closing {
-					out.appendRow(t, r)
-					out.cols[nv] = append(out.cols[nv], exts[i].NewCol[cur[i]])
+					idx.ParentRows = append(idx.ParentRows, uint32(r))
+					idx.NewCol = append(idx.NewCol, exts[i].NewCol[cur[i]])
 				}
 				cur[i]++
 			}

@@ -1,12 +1,15 @@
 package match
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
 	"repro/internal/pattern"
+	"repro/internal/store"
 )
 
 // batchShim wraps a local view behind the BatchExtender interface, making
@@ -23,12 +26,16 @@ func (s batchShim) ExtendIndexed(t *Table, children []*pattern.Pattern) []Indexe
 
 // splitViews partitions g's edges round-robin into k edge-disjoint SubCSR
 // views (every edge visible through exactly one view, as in a ParDis
-// fragment set).
-func splitViews(g *graph.Graph, k int) []graph.View {
+// fragment set). With overlap, every third edge is also visible through
+// the next view, so a closing edge can have two witnesses.
+func splitViews(g *graph.Graph, k int, overlap bool) []graph.View {
 	parts := make([][]graph.IEdge, k)
 	i := 0
 	graph.ViewEdges(g, func(e graph.IEdge) bool {
 		parts[i%k] = append(parts[i%k], e)
+		if overlap && k > 1 && i%3 == 0 {
+			parts[(i+1)%k] = append(parts[(i+1)%k], e)
+		}
 		i++
 		return true
 	})
@@ -58,8 +65,9 @@ func sameTable(a, b *Table) bool {
 // randomBatch builds a parent table over g and 1–8 children of its
 // pattern, the shape of one parent group in a ParDis level: new-node
 // children in both directions and closing edges, wildcard node and edge
-// labels mixed in. The parent is a single edge or a two-edge path, and
-// one time in eight its table is empty.
+// labels mixed in. Every other batch adds a closing group (closingGroup).
+// The parent is a single edge or a two-edge path, and one time in eight
+// its table is empty.
 func randomBatch(r *rand.Rand, g *graph.Graph) (*Table, []*pattern.Pattern) {
 	labels := []string{"a", "b", "c", pattern.Wildcard}
 	parent, child := randomParentChild(r)
@@ -80,24 +88,106 @@ func randomBatch(r *rand.Rand, g *graph.Graph) (*Table, []*pattern.Pattern) {
 			children[i] = parent.ExtendClosingEdge(src, (src+1+r.Intn(n-1))%n, labels[r.Intn(4)])
 		}
 	}
+	if r.Intn(2) == 0 {
+		children = append(children, closingGroup(r, parent)...)
+		r.Shuffle(len(children), func(i, j int) { children[i], children[j] = children[j], children[i] })
+	}
 	return base, children
 }
 
-// TestIndexedMergeDifferential locks the index-merge path (taken when any
-// view is a BatchExtender) to the fused local loop: for random graphs,
-// random batches of children sharing one parent, random view counts and
-// a random subset of views shimmed through BatchExtender, every child's
-// output table must be byte-identical — same rows in the same order — to
-// the all-local per-child call, whether the child goes through the batch
-// or alone. This is the property that makes remote mining reproduce the
-// golden bytes: the transport can only move a share, never reorder it.
+// closingGroup returns closing children of p on one variable pair, the
+// members one closing group of the kernel must keep apart: a concrete
+// label twice, another concrete label, a wildcard, and a label absent
+// from the graph's symbol table. When p has three variables, a child
+// with the same source and label but that other destination joins them:
+// it belongs to another group.
+func closingGroup(r *rand.Rand, p *pattern.Pattern) []*pattern.Pattern {
+	labels := []string{"a", "b", "c"}
+	n := p.N()
+	src := r.Intn(n)
+	dst := (src + 1 + r.Intn(n-1)) % n
+	l := labels[r.Intn(3)]
+	out := []*pattern.Pattern{
+		p.ExtendClosingEdge(src, dst, l),
+		p.ExtendClosingEdge(src, dst, labels[r.Intn(3)]),
+		p.ExtendClosingEdge(src, dst, pattern.Wildcard),
+		p.ExtendClosingEdge(src, dst, l),
+		p.ExtendClosingEdge(src, dst, "absent"),
+	}
+	if n == 3 {
+		out = append(out, p.ExtendClosingEdge(src, 3-src-dst, l))
+	}
+	return out
+}
+
+// mappedViews spills each view to an in-memory snapshot and opens it back
+// as a store.MappedGraph: the fragment views of a spilled ParDis run.
+func mappedViews(t testing.TB, views []graph.View) []graph.View {
+	out := make([]graph.View, len(views))
+	for i, v := range views {
+		var buf bytes.Buffer
+		if err := store.Write(&buf, v.(store.Source)); err != nil {
+			t.Fatal(err)
+		}
+		m, err := store.OpenBytes(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = m
+	}
+	return out
+}
+
+// exactSize reports whether every column of tab is gathered at its exact
+// size (len == cap), and whether appending a row to tab, as a rebalance
+// appends rows to a worker's part, leaves its other cells unchanged.
+func exactSize(tab *Table) bool {
+	for _, col := range tab.cols {
+		if len(col) != cap(col) {
+			return false
+		}
+	}
+	n := tab.Len()
+	if n == 0 {
+		return true
+	}
+	before := make([][]graph.NodeID, len(tab.cols))
+	for v, col := range tab.cols {
+		before[v] = slices.Clone(col)
+	}
+	// grown shares tab's column storage, as a part shares its gather.
+	grown := &Table{P: tab.P, cols: slices.Clone(tab.cols)}
+	grown.AppendRows(&Table{P: tab.P, cols: before}, n-1, n)
+	for v := range tab.cols {
+		if !slices.Equal(tab.cols[v], before[v]) || !slices.Equal(grown.cols[v][:n], before[v]) ||
+			grown.cols[v][n] != before[v][n-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestIndexedMergeDifferential locks the batched kernel and the
+// index-merge path (taken when any view is a BatchExtender) to the
+// row-at-a-time reference: for random graphs, random batches of children
+// sharing one parent, random view counts — heap SubCSRs or spilled
+// MappedGraphs, disjoint or overlapping — and a random subset of views
+// shimmed through BatchExtender, every child's output table must be
+// byte-identical — same rows in the same order — to the reference,
+// whether the child goes through the batch or alone, and gathered at its
+// exact size. This is the property that makes remote mining reproduce
+// the golden bytes: the transport can only move a share, never reorder
+// it.
 func TestIndexedMergeDifferential(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomGraph(r, 4+r.Intn(8))
 		base, children := randomBatch(r, g)
 		k := 1 + r.Intn(4)
-		plain := splitViews(g, k)
+		plain := splitViews(g, k, r.Intn(3) == 0)
+		if r.Intn(2) == 0 {
+			plain = mappedViews(t, plain)
+		}
 
 		shimmed := make([]graph.View, k)
 		anyShim := false
@@ -119,9 +209,11 @@ func TestIndexedMergeDifferential(t *testing.T) {
 			return false
 		}
 		for i, child := range children {
-			want := ExtendRowsViews(plain, base, child)
+			want := extendRowsViewsRef(plain, base, child)
 			if !sameTable(want, merged[i]) || !sameTable(want, local[i]) ||
-				!sameTable(want, ExtendRowsViews(shimmed, base, child)) {
+				!sameTable(want, ExtendRowsViews(plain, base, child)) ||
+				!sameTable(want, ExtendRowsViews(shimmed, base, child)) ||
+				!exactSize(merged[i]) || !exactSize(local[i]) {
 				t.Logf("seed %d: child %d of %d (%v) diverged", seed, i, len(children), child)
 				return false
 			}
@@ -142,19 +234,24 @@ func TestMergeSharesStopsAtParentEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	closing := mergeShares(parent, p.ExtendClosingEdge(1, 0, "y"),
-		[]IndexedExt{{ParentRows: []uint32{1, 7}}, {ParentRows: []uint32{2}}}, make([]int, 2))
+	k := newKernel(nil)
+	defer k.release()
+	merge := func(child *pattern.Pattern, exts []IndexedExt) *Table {
+		return gather(parent, child, k.mergeShares(parent, child, exts))
+	}
+	closing := merge(p.ExtendClosingEdge(1, 0, "y"),
+		[]IndexedExt{{ParentRows: []uint32{1, 7}}, {ParentRows: []uint32{2}}})
 	if closing.Len() != 2 || closing.At(0, 0) != 1 || closing.At(1, 0) != 2 {
 		t.Fatalf("closing merge kept %d rows, want parent rows 1 and 2", closing.Len())
 	}
-	grown := mergeShares(parent, p.ExtendNewNode(0, "z", "c", true),
-		[]IndexedExt{{ParentRows: []uint32{0, 9}, NewCol: []graph.NodeID{10, 11}}}, make([]int, 1))
+	grown := merge(p.ExtendNewNode(0, "z", "c", true),
+		[]IndexedExt{{ParentRows: []uint32{0, 9}, NewCol: []graph.NodeID{10, 11}}})
 	if grown.Len() != 1 || grown.At(0, 0) != 0 || grown.At(0, 2) != 10 {
 		t.Fatalf("new-node merge kept %d rows, want parent row 0 bound to node 10", grown.Len())
 	}
 }
 
-// TestIndexedMergeNilTable: the merge path must mirror the fused loop's
+// TestIndexedMergeNilTable: the merge path must mirror the local kernel's
 // nil-table contract (empty output table, correct arity), alone and in a
 // batch.
 func TestIndexedMergeNilTable(t *testing.T) {

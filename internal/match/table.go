@@ -88,14 +88,6 @@ func (t *Table) RowInto(buf Match, r int) Match {
 // Row returns a freshly allocated copy of row r.
 func (t *Table) Row(r int) Match { return t.RowInto(nil, r) }
 
-// appendRow appends row r of src to t, over src's columns (t may have one
-// extra trailing column, filled by the caller).
-func (t *Table) appendRow(src *Table, r int) {
-	for v := range src.cols {
-		t.cols[v] = append(t.cols[v], src.cols[v][r])
-	}
-}
-
 // AppendRows appends rows [lo, hi) of src (same arity) to t, copying
 // column data. This is the materialised data movement of a rebalance: the
 // receiver owns the copied rows.
@@ -232,11 +224,11 @@ func EdgeMatches(g graph.View, p *pattern.Pattern, edges []graph.Edge) *Table {
 // first t.P.N() variables must agree with t's pattern (same labels); the
 // new variable, if any, has index t.P.N().
 //
-// The input table is never mutated. Extension is a column builder: output
-// rows are appended cell-by-cell to flat columns, so no per-row slice is
-// ever allocated. Labels are resolved to interned IDs once per call and
-// the inner loop is the batched run kernel of extend.go, which amortises
-// CSR lookups and label filters over runs of equal-anchor rows.
+// The input table is never mutated. Labels are resolved to interned IDs
+// once per call, the kernel of extend.go writes the output as an index
+// of parent rows (amortising CSR lookups and label filters over runs of
+// equal-anchor rows), and the output's columns are gathered from it at
+// their exact size, so no per-row slice is ever allocated.
 func ExtendRows(g graph.View, t *Table, child *pattern.Pattern) *Table {
 	return extendRowsViews([]graph.View{g}, t, child)
 }
@@ -264,7 +256,7 @@ func ExtendRowsViews(views []graph.View, t *Table, child *pattern.Pattern) *Tabl
 // derives a concrete-labelled pattern's table from its wildcard parent
 // without re-matching. The filter is a per-column label scan: each
 // newly-concrete column is scanned once against its interned label, and
-// surviving rows are compacted into fresh columns.
+// surviving rows are gathered into fresh exact-size columns.
 func RelabelRows(g graph.View, t *Table, variant *pattern.Pattern) *Table {
 	out := NewTable(variant)
 	if t == nil {
@@ -288,8 +280,9 @@ func RelabelRows(g graph.View, t *Table, variant *pattern.Pattern) *Table {
 			}
 		}
 	}
-	keep.ForEach(func(r int) { out.appendRow(t, r) })
-	return out
+	rows := make([]uint32, 0, keep.Count())
+	keep.ForEach(func(r int) { rows = append(rows, uint32(r)) })
+	return gather(t, variant, IndexedExt{ParentRows: rows})
 }
 
 // PivotCol returns the pivot column: PivotCol()[r] = h_r(z). Shared

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -17,13 +18,43 @@ import (
 	"repro/internal/store"
 )
 
+// hubGraph is a random graph whose edges all leave a few hub nodes, so a
+// vertex cut into more fragments than hubs leaves some fragment edgeless.
+func hubGraph(seed int64) *graph.Graph {
+	r := rand.New(rand.NewSource(seed))
+	g := graph.New(60, 120)
+	for i := 0; i < 60; i++ {
+		g.AddNode([]string{"a", "b"}[r.Intn(2)], nil)
+	}
+	for i := 0; i < 120; i++ {
+		src, dst := graph.NodeID(10+10*r.Intn(2)), graph.NodeID(r.Intn(60))
+		if src != dst {
+			g.AddEdge(src, dst, []string{"x", "y", "z"}[r.Intn(3)])
+		}
+	}
+	g.Finalize()
+	return g
+}
+
 // TestSpillAttach: a spilled vertex cut must reattach as mmap-backed
 // fragments that agree with the heap SubCSRs edge-for-edge, carry the
-// same ownership metadata, and share the base graph's node store.
+// same ownership metadata, report the same edge bounds (edgeless
+// fragments included), and share the base graph's node store.
 func TestSpillAttach(t *testing.T) {
-	g := dataset.DBpediaSim(150, 7)
-	for _, n := range []int{1, 3, 4} {
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		n    int
+	}{
+		{"n=1", dataset.DBpediaSim(150, 7), 1},
+		{"n=3", dataset.DBpediaSim(150, 7), 3},
+		{"n=4", dataset.DBpediaSim(150, 7), 4},
+		{"hubs/n=4", hubGraph(3), 4},
+	}
+	edgeless := 0
+	for _, tc := range cases {
+		g, n := tc.g, tc.n
+		t.Run(tc.name, func(t *testing.T) {
 			frags := VertexCut(g, n)
 			dir := t.TempDir()
 			if err := Spill(dir, g, frags); err != nil {
@@ -50,6 +81,12 @@ func TestSpillAttach(t *testing.T) {
 				if f.Sub.NumEdges() != want.Sub.NumEdges() {
 					t.Fatalf("worker %d: %d edges attached, %d in heap fragment", w, f.Sub.NumEdges(), want.Sub.NumEdges())
 				}
+				if got, heap := f.Sub.(*store.MappedGraph).EdgeBounds(), want.Sub.(*graph.SubCSR).EdgeBounds(); got != heap {
+					t.Fatalf("worker %d (%d edges): attached bounds %+v, heap bounds %+v", w, f.Sub.NumEdges(), got, heap)
+				}
+				if f.Sub.NumEdges() == 0 {
+					edgeless++
+				}
 				var heap, mapped []graph.IEdge
 				graph.ViewEdges(want.Sub, func(e graph.IEdge) bool { heap = append(heap, e); return true })
 				graph.ViewEdges(f.Sub, func(e graph.IEdge) bool { mapped = append(mapped, e); return true })
@@ -63,6 +100,9 @@ func TestSpillAttach(t *testing.T) {
 				}
 			}
 		})
+	}
+	if edgeless == 0 {
+		t.Fatal("degenerate: no attached fragment was edgeless")
 	}
 }
 

@@ -162,7 +162,7 @@ func TestHedgedShareIdentical(t *testing.T) {
 			t.Fatalf("batch %d: %d shares for %d children", i, len(got), len(b.children))
 		}
 		for j, child := range b.children {
-			if !sameExt(match.ExtendIndexed(local, base, child), got[j]) {
+			if !sameExt(localShare(local, base, child), got[j]) {
 				t.Fatalf("batch %d child %d: hedged share diverged from local", i, j)
 			}
 		}
@@ -210,7 +210,7 @@ func TestHedgeRace(t *testing.T) {
 	wants := make([]match.IndexedExt, len(cases))
 	for i, tc := range cases {
 		parents[i] = match.EdgeMatches(g, tc.parent, nil)
-		wants[i] = match.ExtendIndexed(local, parents[i], tc.child)
+		wants[i] = localShare(local, parents[i], tc.child)
 	}
 
 	var wg sync.WaitGroup
@@ -430,7 +430,7 @@ func TestAdoptValidation(t *testing.T) {
 	defer local.Close()
 	tc := testChildren(g)[0]
 	base := match.EdgeMatches(g, tc.parent, nil)
-	want := match.ExtendIndexed(local, base, tc.child)
+	want := localShare(local, base, tc.child)
 	if got := extendOne(rf, base, tc.child); !sameExt(want, got) {
 		t.Fatal("pre-adoption local share diverged")
 	}

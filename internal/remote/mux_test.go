@@ -120,7 +120,7 @@ func TestConcurrentExtendsFaulted(t *testing.T) {
 			defer wg.Done()
 			for i, tc := range cases {
 				base := match.EdgeMatches(g, tc.parent, nil)
-				want := match.ExtendIndexed(local, base, tc.child)
+				want := localShare(local, base, tc.child)
 				got := extendOne(rf, base, tc.child)
 				if !sameExt(want, got) {
 					errs <- fmt.Errorf("case %d diverged under faults", i)

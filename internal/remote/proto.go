@@ -451,7 +451,7 @@ func Fingerprint(v graph.View) uint64 {
 // the new-node case needs every bound variable for the injectivity
 // check). The parent pattern is not shipped: the server re-derives it as
 // the first child minus its last edge (and last variable), which is all
-// ExtendIndexed consults. Layout:
+// ExtendIndexedBatch consults. Layout:
 //
 //	u32 child count
 //	per child: u32 arity, u32 pivot, arity labels, u32 edge count,
@@ -541,7 +541,7 @@ func decodeChild(r *rbuf) (*pattern.Pattern, error) {
 // decodeExtend rebuilds a batch request's children and parent table.
 // Every child must extend the same parent arity by one edge, and a
 // new-node child's last edge must join the new variable to a bound one —
-// the shapes ExtendIndexed accepts. The returned table aliases the
+// the shapes ExtendIndexedBatch accepts. The returned table aliases the
 // payload where alignment allows; it lives only for the duration of the
 // request.
 func decodeExtend(b []byte) (*match.Table, []*pattern.Pattern, error) {
@@ -592,7 +592,7 @@ func decodeExtend(b []byte) (*match.Table, []*pattern.Pattern, error) {
 		return nil, nil, err
 	}
 	// Re-derive the parent: a child minus the last edge, minus the new
-	// variable if the child introduced one. ExtendIndexed consults the
+	// variable if the child introduced one. ExtendIndexedBatch consults the
 	// parent only through its arity.
 	parent := &pattern.Pattern{
 		NodeLabels: children[0].NodeLabels[:nv],

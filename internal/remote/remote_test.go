@@ -116,6 +116,12 @@ func testBatches(g *graph.Graph) []testBatch {
 	return out
 }
 
+// localShare computes one child's share on the local kernel, as a
+// one-child batch.
+func localShare(g graph.View, t *match.Table, child *pattern.Pattern) match.IndexedExt {
+	return match.ExtendIndexedBatch(g, t, []*pattern.Pattern{child})[0]
+}
+
 // extendOne runs one child through the fragment as a one-child batch.
 func extendOne(rf *RemoteFragment, t *match.Table, child *pattern.Pattern) match.IndexedExt {
 	return rf.ExtendIndexed(t, []*pattern.Pattern{child})[0]
@@ -205,7 +211,7 @@ func TestRemoteExtendMatchesLocal(t *testing.T) {
 
 	for i, tc := range testChildren(g) {
 		base := match.EdgeMatches(g, tc.parent, nil)
-		want := match.ExtendIndexed(local, base, tc.child)
+		want := localShare(local, base, tc.child)
 		got := extendOne(rf, base, tc.child)
 		if !sameExt(want, got) {
 			t.Fatalf("case %d: remote share diverged: got %d rows, want %d", i, len(got.ParentRows), len(want.ParentRows))
@@ -404,7 +410,7 @@ func TestMisshapenBatchResponseFailsOver(t *testing.T) {
 			base := match.EdgeMatches(g, p, nil)
 			got := rf.ExtendIndexed(base, children)
 			for i, child := range children {
-				if !sameExt(match.ExtendIndexed(local, base, child), got[i]) {
+				if !sameExt(localShare(local, base, child), got[i]) {
 					t.Fatalf("child %d: share diverged from local", i)
 				}
 			}
@@ -503,7 +509,7 @@ func TestFaultInjectionStillCorrect(t *testing.T) {
 			})
 			for i, tc := range testChildren(g) {
 				base := match.EdgeMatches(g, tc.parent, nil)
-				want := match.ExtendIndexed(local, base, tc.child)
+				want := localShare(local, base, tc.child)
 				got := extendOne(rf, base, tc.child)
 				if !sameExt(want, got) {
 					t.Fatalf("case %d under %s: share diverged", i, spec)
@@ -537,7 +543,7 @@ func TestFailoverToSpillFile(t *testing.T) {
 
 	cases := testChildren(g)
 	base0 := match.EdgeMatches(g, cases[0].parent, nil)
-	if !sameExt(match.ExtendIndexed(local, base0, cases[0].child), extendOne(rf, base0, cases[0].child)) {
+	if !sameExt(localShare(local, base0, cases[0].child), extendOne(rf, base0, cases[0].child)) {
 		t.Fatal("pre-kill share diverged")
 	}
 	if rf.Healthy(context.Background()) != nil {
@@ -548,7 +554,7 @@ func TestFailoverToSpillFile(t *testing.T) {
 
 	for i, tc := range cases {
 		base := match.EdgeMatches(g, tc.parent, nil)
-		want := match.ExtendIndexed(local, base, tc.child)
+		want := localShare(local, base, tc.child)
 		got := extendOne(rf, base, tc.child)
 		if !sameExt(want, got) {
 			t.Fatalf("case %d after kill: share diverged", i)
@@ -614,7 +620,7 @@ func TestDeclaredDeadOnce(t *testing.T) {
 			defer wg.Done()
 			for i, tc := range cases {
 				base := match.EdgeMatches(g, tc.parent, nil)
-				if !sameExt(match.ExtendIndexed(local, base, tc.child), extendOne(rf, base, tc.child)) {
+				if !sameExt(localShare(local, base, tc.child), extendOne(rf, base, tc.child)) {
 					errs <- fmt.Errorf("case %d diverged", i)
 					return
 				}
@@ -742,7 +748,7 @@ func TestServerDieAfter(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for i, tc := range cases {
 			base := match.EdgeMatches(g, tc.parent, nil)
-			want := match.ExtendIndexed(local, base, tc.child)
+			want := localShare(local, base, tc.child)
 			got := extendOne(rf, base, tc.child)
 			if !sameExt(want, got) {
 				t.Fatalf("round %d case %d: share diverged across server death", round, i)
@@ -779,7 +785,7 @@ func TestConcurrentExtends(t *testing.T) {
 			defer wg.Done()
 			for i, tc := range cases {
 				base := match.EdgeMatches(g, tc.parent, nil)
-				want := match.ExtendIndexed(local, base, tc.child)
+				want := localShare(local, base, tc.child)
 				got := extendOne(rf, base, tc.child)
 				if !sameExt(want, got) {
 					errs <- fmt.Errorf("case %d diverged", i)

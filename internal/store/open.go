@@ -213,6 +213,8 @@ func OpenBytes(data []byte) (*MappedGraph, error) {
 	if m.inTo, m.inRunNode, m.inRunLabel, m.inRunOff, err = decodeCSR("in", secInTo, secInRunNode, secInRunLabel, secInRunOff); err != nil {
 		return nil, err
 	}
+	m.bounds.SrcLo, m.bounds.SrcHi = runSpan(m.outRunNode)
+	m.bounds.DstLo, m.bounds.DstHi = runSpan(m.inRunNode)
 
 	if m.byLabelOff, err = d.u32s(secByLabelOff, m.numLabels+1); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"unsafe"
 
@@ -36,6 +37,9 @@ type MappedGraph struct {
 	outRunNode, inRunNode   []uint32
 	outRunLabel, inRunLabel []graph.LabelID
 	outRunOff, inRunOff     []uint32
+	// bounds is the node ranges the edges touch, read from the run
+	// indexes at open.
+	bounds graph.EdgeBounds
 
 	byLabelOff     []uint32
 	byLabelNodes   []graph.NodeID
@@ -233,6 +237,25 @@ func (m *MappedGraph) NodesByLabelID(l graph.LabelID) []graph.NodeID {
 }
 
 // --- CSR adjacency ---
+
+// EdgeBounds returns the node ranges the snapshot's edges touch, so the
+// extend kernel can narrow a worker's views to the spilled fragments that
+// can hold a row's edges, as it does for heap SubCSRs.
+func (m *MappedGraph) EdgeBounds() graph.EdgeBounds { return m.bounds }
+
+// runSpan returns the node range [lo, hi) from the first to the last node
+// whose window of the monotone run index rn holds a run — empty when none
+// does. Every edge sits in a run, so the range bounds the edges' nodes on
+// that side. Two binary searches.
+func runSpan(rn []uint32) (lo, hi graph.NodeID) {
+	n := len(rn) - 1
+	if n < 1 || rn[0] == rn[n] {
+		return 0, 0
+	}
+	lo = graph.NodeID(sort.Search(n, func(v int) bool { return rn[v+1] > rn[0] }))
+	hi = graph.NodeID(sort.Search(n, func(v int) bool { return rn[v] == rn[n] }))
+	return lo, hi
+}
 
 // OutRuns implements graph.View.
 func (m *MappedGraph) OutRuns(v graph.NodeID) (lo, hi int) {

@@ -163,13 +163,13 @@ func BenchmarkAblationGrouping(b *testing.B) {
 	g, _ := ablationGraph()
 	sigma := dataset.GenGFDs(g, dataset.GFDGenConfig{Count: 800, K: 3, Seed: 7})
 	for _, mode := range []struct {
-		name string
-		grp  bool
-	}{{"grouped", true}, {"ungrouped", false}} {
+		name  string
+		cover func([]*core.GFD, *cluster.Engine) *parallel.CoverResult
+	}{{"grouped", parallel.Cover}, {"ungrouped", parallel.CoverUngrouped}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng := cluster.New(cluster.Config{Workers: 8})
-				res := parallel.Cover(sigma, nil, eng, parallel.CoverOptions{Grouping: mode.grp})
+				res := mode.cover(sigma, eng)
 				b.ReportMetric(res.CoverTime().Seconds(), "sim-s")
 			}
 		})

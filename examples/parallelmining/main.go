@@ -42,8 +42,8 @@ func main() {
 	sigma := res.All()
 	fmt.Printf("\ncover of |Σ|=%d:\n n   ParCover   ParCovern\n", len(sigma))
 	for _, n := range []int{4, 8, 16} {
-		pg := parallel.Cover(sigma, res.Tree, cluster.New(cluster.Config{Workers: n}), parallel.CoverOptions{Grouping: true})
-		pn := parallel.Cover(sigma, res.Tree, cluster.New(cluster.Config{Workers: n}), parallel.CoverOptions{Grouping: false})
+		pg := parallel.Cover(sigma, cluster.New(cluster.Config{Workers: n}))
+		pn := parallel.CoverUngrouped(sigma, cluster.New(cluster.Config{Workers: n}))
 		fmt.Printf("%2d   %7.4fs   %7.4fs   (|cover|=%d, groups=%d)\n",
 			n, pg.CoverTime().Seconds(), pn.CoverTime().Seconds(), len(pg.Cover), pg.Groups)
 	}

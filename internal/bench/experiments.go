@@ -241,8 +241,8 @@ func Fig5Cover(c Config, key, id string) *Table {
 	}
 	for _, n := range c.Workers {
 		c.logf("%s n=%d", id, n)
-		pg := parallel.Cover(sigmaSet, res.Tree, newEngine(n), parallel.CoverOptions{Grouping: true})
-		pn := parallel.Cover(sigmaSet, res.Tree, newEngine(n), parallel.CoverOptions{Grouping: false})
+		pg := parallel.Cover(sigmaSet, newEngine(n))
+		pn := parallel.CoverUngrouped(sigmaSet, newEngine(n))
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n),
 			secs(pg.CoverTime()),
@@ -267,8 +267,8 @@ func Fig5SigmaSize(c Config) *Table {
 		count := int(float64(m) * c.Scale)
 		c.logf("fig5l |Σ|=%d", count)
 		sigmaSet := dataset.GenGFDs(g, dataset.GFDGenConfig{Count: count, K: 4, Seed: c.Seed})
-		pg := parallel.Cover(sigmaSet, nil, newEngine(4), parallel.CoverOptions{Grouping: true})
-		pn := parallel.Cover(sigmaSet, nil, newEngine(4), parallel.CoverOptions{Grouping: false})
+		pg := parallel.Cover(sigmaSet, newEngine(4))
+		pn := parallel.CoverUngrouped(sigmaSet, newEngine(4))
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(count),
 			secs(pg.CoverTime()),

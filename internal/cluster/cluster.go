@@ -25,7 +25,6 @@ package cluster
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -52,13 +51,13 @@ type Config struct {
 	// the effective throughput of the paper's EC2 m4.xlarge instances).
 	BytesPerSecond float64
 	// RoundLatency is the modelled latency of one communication round
-	// (default 200µs, typical intra-datacenter RTT).
+	// (default 100µs, typical intra-datacenter RTT).
 	RoundLatency time.Duration
 	// Obs is the metrics registry the engine accounts into. nil means a
 	// fresh private registry, keeping engines isolated from each other
 	// (tests); the CLIs pass obs.Default so /metrics sees the run. The
-	// registry must be enabled: hedge and ping statistics live only in
-	// it (Stats reconstructs them from the registry counters).
+	// registry must be enabled: hedge statistics live only in it (Stats
+	// reconstructs them from the registry counters).
 	Obs *obs.Registry
 	// Trace, when non-nil, receives superstep/master spans for the run's
 	// JSONL span log.
@@ -96,12 +95,6 @@ type Stats struct {
 	// The shares are byte-identical either way — hedging trades duplicate
 	// work for tail latency, never output.
 	HedgesFired, HedgesWon int64
-	// Pings counts health-probe heartbeats whose round trip was measured;
-	// PingRTTTotal and PingRTTMax aggregate those round trips (the health
-	// layer's rolling quantile sees each sample individually).
-	Pings        int64
-	PingRTTTotal time.Duration
-	PingRTTMax   time.Duration
 	// WorkerBusy is the total busy time per worker, for skew inspection.
 	WorkerBusy []time.Duration
 }
@@ -142,7 +135,7 @@ type Engine struct {
 
 	// Hedge and ping accounting live in the metrics registry — one
 	// accounting plane shared with /metrics — with Stats() reconstructing
-	// the legacy fields from these handles.
+	// the hedge fields from their handles.
 	trace        *obs.Tracer
 	mSupersteps  *obs.Counter
 	hSuperstep   *obs.Histogram
@@ -152,13 +145,11 @@ type Engine struct {
 	mHedgesFired *obs.Counter
 	mHedgesWon   *obs.Counter
 	hPing        *obs.Histogram
-	pingMax      atomic.Int64
 
 	// Registry handles are shared process-wide when Config.Obs is a
 	// common registry (obs.Default), so per-run Stats are reported as
 	// deltas against the values at engine creation.
 	baseHedgesFired, baseHedgesWon int64
-	basePings, basePingSum         int64
 }
 
 // New returns an engine with the given configuration.
@@ -184,8 +175,6 @@ func New(cfg Config) *Engine {
 	}
 	e.baseHedgesFired = e.mHedgesFired.Value()
 	e.baseHedgesWon = e.mHedgesWon.Value()
-	e.basePings = e.hPing.Count()
-	e.basePingSum = e.hPing.Sum()
 	return e
 }
 
@@ -199,10 +188,10 @@ func (e *Engine) Workers() int { return e.cfg.Workers }
 // after another and stealing would corrupt per-worker busy attribution.
 func (e *Engine) IsConcurrent() bool { return e.cfg.Mode == Concurrent }
 
-// Stats returns a copy of the accumulated statistics. Hedge and ping
-// fields are reconstructed from the metrics registry (as deltas against
-// engine creation, since the registry may be shared process-wide); the
-// rest is guarded by the engine mutex.
+// Stats returns a copy of the accumulated statistics. Hedge fields are
+// reconstructed from the metrics registry (as deltas against engine
+// creation, since the registry may be shared process-wide); the rest is
+// guarded by the engine mutex.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	s := e.stats
@@ -210,17 +199,7 @@ func (e *Engine) Stats() Stats {
 	e.mu.Unlock()
 	s.HedgesFired = e.mHedgesFired.Value() - e.baseHedgesFired
 	s.HedgesWon = e.mHedgesWon.Value() - e.baseHedgesWon
-	s.Pings = e.hPing.Count() - e.basePings
-	s.PingRTTTotal = time.Duration(e.hPing.Sum() - e.basePingSum)
-	s.PingRTTMax = time.Duration(e.pingMax.Load())
 	return s
-}
-
-// PingRTTQuantile returns an upper bound on the q-quantile of all
-// heartbeat round trips recorded into this engine's registry, at the
-// histogram's log2 bucket resolution. Serves the /cluster endpoint.
-func (e *Engine) PingRTTQuantile(q float64) time.Duration {
-	return time.Duration(e.hPing.Quantile(q))
 }
 
 // Ship records a shipment of nbytes received by worker w (use the receiver
@@ -269,17 +248,11 @@ func (e *Engine) RecordHedges(fired, won int64) {
 	e.mHedgesWon.Add(won)
 }
 
-// RecordPing tallies one measured heartbeat round trip into the
-// registry's RTT histogram (the health layer's rolling quantile sees
-// each sample individually).
+// RecordPing records one measured heartbeat round trip in the registry's
+// RTT histogram, served on /metrics (the health layer's rolling quantile
+// sees each sample individually).
 func (e *Engine) RecordPing(rtt time.Duration) {
 	e.hPing.Observe(int64(rtt))
-	for {
-		cur := e.pingMax.Load()
-		if int64(rtt) <= cur || e.pingMax.CompareAndSwap(cur, int64(rtt)) {
-			return
-		}
-	}
 }
 
 // ShipAll records a broadcast of nbytes to every worker.

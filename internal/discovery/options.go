@@ -4,6 +4,11 @@
 // negative spawns NVSpawn/NHSpawn, the pruning strategies of Lemma 4, the
 // sequential miner SeqDis and the cover computation SeqCover.
 //
+// The cover is computed over per-pattern groups (CoverGroups, Lemma 6):
+// each GFD is tested only against the GFDs embedded in its pattern.
+// SeqCover reduces the groups in turn; package parallel's ParCover deals
+// the same groups to its workers.
+//
 // The miner is written against a Backend interface that supplies pattern
 // matching and candidate validation: the sequential backend holds one match
 // table per pattern; the parallel backend of package parallel partitions
@@ -156,9 +161,6 @@ type Result struct {
 	Positives []Mined
 	Negatives []Mined
 	Stats     Stats
-	// Tree records, for each pattern canonical code, the codes of its
-	// spawning parents P(Q) — used by ParCover's group construction.
-	Tree map[string][]string
 }
 
 // All returns every mined GFD, positives first.

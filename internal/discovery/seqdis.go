@@ -24,7 +24,7 @@ func Mine(g *graph.Graph, opts Options) *Result {
 func MineView(v graph.View, opts Options) *Result {
 	opts = opts.withDefaults()
 	prof := NewProfile(v, opts.ActiveAttrs)
-	res := &Result{Tree: make(map[string][]string)}
+	res := &Result{}
 	backend := NewSeqBackend(v, opts.MaxTableRows, &res.Stats)
 	mineWithBackend(backend, prof, opts, res)
 	return res
@@ -34,21 +34,19 @@ func MineView(v graph.View, opts Options) *Result {
 // package parallel uses it with the fragmented cluster backend (ParDis).
 func MineWithBackend(b Backend, prof *Profile, opts Options) *Result {
 	opts = opts.withDefaults()
-	res := &Result{Tree: make(map[string][]string)}
+	res := &Result{}
 	mineWithBackend(b, prof, opts, res)
 	return res
 }
 
 // patNode is a node of the GFD generation tree T: a verified pattern with
-// its match state, support and parent links P(Q).
+// its match state and support.
 type patNode struct {
 	p       *pattern.Pattern
-	code    string
 	h       Handle
 	support int
 	rows    int
 	level   int
-	parents []string // canonical codes of spawning parents (merged for iso duplicates)
 }
 
 type miner struct {
@@ -169,25 +167,22 @@ func (m *miner) spawnGFDInit() []*patNode {
 		if po.Support >= m.opts.Support {
 			m.res.Stats.PatternsFrequent++
 		}
-		pn := &patNode{p: ps[i], code: ps[i].CanonicalCode(), h: po.H, support: po.Support, rows: po.Rows}
-		m.res.Tree[pn.code] = nil
-		out = append(out, pn)
+		out = append(out, &patNode{p: ps[i], h: po.H, support: po.Support, rows: po.Rows})
 	}
 	m.orderLevel(out)
 	return out
 }
 
 // vspawn runs VSpawn(i): one-edge extensions of every level-(i-1) pattern,
-// de-duplicated by canonical code with parent sets merged (the iso(Q)
-// handling of Section 5.1), then verified by incremental joins. Children
-// with zero matches trigger NVSpawn. Infrequent children are pruned by
-// Lemma 4(c) unless pruning is disabled.
+// de-duplicated by canonical code (the iso(Q) handling of Section 5.1),
+// then verified by incremental joins from their first spawning parent.
+// Children with zero matches trigger NVSpawn. Infrequent children are
+// pruned by Lemma 4(c) unless pruning is disabled.
 func (m *miner) vspawn(level []*patNode, i int) []*patNode {
 	type cand struct {
-		p       *pattern.Pattern
-		parent  *patNode
-		parents []string
-		score   int
+		p      *pattern.Pattern
+		parent *patNode
+		score  int
 	}
 	extSigma := m.opts.Support
 	if m.opts.DisablePruning {
@@ -199,11 +194,10 @@ func (m *miner) vspawn(level []*patNode, i int) []*patNode {
 		for _, ec := range m.ti.extensions(pn.p, m.opts.K, m.opts.WildcardNodes, m.opts.MaxExtensionsPerPattern, extSigma, m.opts.PathOnly) {
 			m.res.Stats.PatternsSpawned++
 			code := ec.p.CanonicalCode()
-			if c, ok := byCode[code]; ok {
-				c.parents = append(c.parents, pn.code) // merge P(Q) of iso duplicates
-				continue
+			if _, ok := byCode[code]; ok {
+				continue // iso(Q): the first spawning parent verifies it
 			}
-			byCode[code] = &cand{p: ec.p, parent: pn, parents: []string{pn.code}, score: ec.score}
+			byCode[code] = &cand{p: ec.p, parent: pn, score: ec.score}
 			order = append(order, code)
 		}
 	}
@@ -226,7 +220,6 @@ func (m *miner) vspawn(level []*patNode, i int) []*patNode {
 			continue
 		}
 		m.res.Stats.PatternsVerified++
-		m.res.Tree[code] = append([]string(nil), c.parents...)
 		switch {
 		case rows == 0:
 			// NVSpawn: supp(Q′, z̄) = 0 while the spawning parent is
@@ -245,7 +238,7 @@ func (m *miner) vspawn(level []*patNode, i int) []*patNode {
 			if supp >= m.opts.Support {
 				m.res.Stats.PatternsFrequent++
 			}
-			out = append(out, &patNode{p: c.p, code: code, h: h, support: supp, rows: rows, level: i, parents: c.parents})
+			out = append(out, &patNode{p: c.p, h: h, support: supp, rows: rows, level: i})
 		}
 	}
 

@@ -234,7 +234,7 @@ func TestParCoverEqualsSeqCover(t *testing.T) {
 	seqCover := discovery.Cover(sigma)
 	for _, n := range []int{1, 2, 4} {
 		eng := cluster.New(cluster.Config{Workers: n})
-		pc := Cover(sigma, res.Tree, eng, CoverOptions{Grouping: true})
+		pc := Cover(sigma, eng)
 		a, b := coverKeys(seqCover), coverKeys(pc.Cover)
 		if len(a) != len(b) {
 			t.Fatalf("n=%d: cover sizes differ: seq=%d par=%d", n, len(a), len(b))
@@ -258,7 +258,11 @@ func TestParCoverEquivalence(t *testing.T) {
 	sigma := res.All()
 	for _, grouping := range []bool{true, false} {
 		eng := cluster.New(cluster.Config{Workers: 3})
-		pc := Cover(sigma, res.Tree, eng, CoverOptions{Grouping: grouping})
+		cover := Cover
+		if !grouping {
+			cover = CoverUngrouped
+		}
+		pc := cover(sigma, eng)
 		for _, phi := range sigma {
 			inCover := false
 			for _, psi := range pc.Cover {
@@ -289,19 +293,16 @@ func TestParCoverConcurrentWorkers(t *testing.T) {
 	g := rulesGraph(8)
 	res := discovery.Mine(g, discovery.Options{K: 3, Support: 4, WildcardNodes: true})
 	generated := dataset.GenGFDs(dataset.YAGO2Sim(100, 5), dataset.GFDGenConfig{Count: 300, K: 3, Seed: 17})
-	for _, tc := range []struct {
-		sigma []*core.GFD
-		tree  map[string][]string
-	}{{res.All(), res.Tree}, {generated, nil}} {
-		want := coverKeys(discovery.Cover(tc.sigma))
+	for _, sigma := range [][]*core.GFD{res.All(), generated} {
+		want := coverKeys(discovery.Cover(sigma))
 		eng := cluster.New(cluster.Config{Workers: 4, Mode: cluster.Concurrent})
-		got := coverKeys(Cover(tc.sigma, tc.tree, eng, CoverOptions{Grouping: true}).Cover)
+		got := coverKeys(Cover(sigma, eng).Cover)
 		if len(got) != len(want) {
-			t.Fatalf("|Σ|=%d: cover sizes differ: seq=%d par=%d", len(tc.sigma), len(want), len(got))
+			t.Fatalf("|Σ|=%d: cover sizes differ: seq=%d par=%d", len(sigma), len(want), len(got))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("|Σ|=%d: cover differs at %d: %s vs %s", len(tc.sigma), i, want[i], got[i])
+				t.Fatalf("|Σ|=%d: cover differs at %d: %s vs %s", len(sigma), i, want[i], got[i])
 			}
 		}
 	}
@@ -313,9 +314,9 @@ func TestParCovernSlowerThanParCover(t *testing.T) {
 	g := dataset.YAGO2Sim(100, 5)
 	sigma := dataset.GenGFDs(g, dataset.GFDGenConfig{Count: 1200, K: 3, Seed: 17})
 	engG := cluster.New(cluster.Config{Workers: 4})
-	pcG := Cover(sigma, nil, engG, CoverOptions{Grouping: true})
+	pcG := Cover(sigma, engG)
 	engN := cluster.New(cluster.Config{Workers: 4})
-	pcN := Cover(sigma, nil, engN, CoverOptions{Grouping: false})
+	pcN := CoverUngrouped(sigma, engN)
 	if pcG.CoverTime() >= pcN.CoverTime() {
 		t.Fatalf("grouping should be faster: grouped=%v ungrouped=%v (|Σ|=%d)",
 			pcG.CoverTime(), pcN.CoverTime(), len(sigma))

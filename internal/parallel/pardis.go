@@ -81,6 +81,6 @@ type DisGFDResult struct {
 // Exp-1 vs Exp-4).
 func DisGFD(ctx context.Context, v graph.View, opts discovery.Options, mineEng, coverEng *cluster.Engine, popts Options) *DisGFDResult {
 	mr := Mine(ctx, v, opts, mineEng, popts)
-	cr := Cover(mr.All(), mr.Tree, coverEng, CoverOptions{Grouping: true})
+	cr := Cover(mr.All(), coverEng)
 	return &DisGFDResult{Mine: mr, Cover: cr, Sigma: cr.Cover}
 }

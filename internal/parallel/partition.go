@@ -1,10 +1,13 @@
 // Package parallel implements the parallel-scalable GFD discovery of
 // Section 6: algorithm ParDis (distributed incremental joins over a
 // vertex-cut–fragmented graph, with workload balancing) and algorithm
-// ParCover (parallel cover computation with Lemma 6 grouping and factor-2
-// load balancing). Both run on the simulated cluster of package cluster
-// and are parallel scalable relative to their sequential counterparts: the
-// benchmarks measure simulated response time falling as workers increase.
+// ParCover (parallel cover computation: the master builds discovery's
+// Lemma 6 groups and deals them to the workers with factor-2 load
+// balancing, and the workers reduce them), plus the paper's ungrouped
+// ParCovern baseline (CoverUngrouped). Both algorithms run on the
+// simulated cluster of package cluster and are parallel scalable relative
+// to their sequential counterparts: the benchmarks measure simulated
+// response time falling as workers increase.
 package parallel
 
 import (

@@ -296,7 +296,9 @@ func write(w io.Writer, src Source, fi *FragmentInfo) error {
 	header[7] = byte(Version >> 8)
 	putU32(header, 8, uint32(len(secs)))
 
-	bw := bufio.NewWriterSize(w, 1<<20)
+	// off is now the snapshot's total length: a small snapshot (a ParDis
+	// fragment) needs no 1 MiB buffer.
+	bw := bufio.NewWriterSize(w, int(min(off, 1<<20)))
 	bw.Write(header)
 	bw.Write(table)
 	var pad [8]byte

@@ -519,6 +519,19 @@ func MicroSpecs() []MicroSpec {
 				}
 			}
 		}},
+		{"Cover/generated", func(b *testing.B) {
+			// SeqCover over 300 generated k = 3 GFDs on YAGO2Sim(100, 5),
+			// the set TestCoverMatchesReference checks: grouping, each
+			// group's compiled chase, and its member tests.
+			sigma := dataset.GenGFDs(dataset.YAGO2Sim(100, 5), dataset.GFDGenConfig{Count: 300, K: 3, Seed: 1})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if len(discovery.Cover(sigma)) == len(sigma) {
+					b.Fatal("the cover removed nothing")
+				}
+			}
+		}},
 		{"HSpawn/mine-level1", func(b *testing.B) {
 			// End-to-end single-level mine: seeding, one VSpawn level, and the
 			// full HSpawn literal lattice (Constants, SatRows indexing,

@@ -11,8 +11,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/pattern"
@@ -53,16 +55,30 @@ func Vars(x int, a string, y int, b string) Literal {
 // False returns the Boolean-false literal.
 func False() Literal { return Literal{Kind: LFalse} }
 
-// String renders the literal.
+// String renders the literal: x0.A="c" with the constant Go-quoted,
+// x0.A=x1.B, or false.
 func (l Literal) String() string {
+	var buf [64]byte
+	return string(l.appendTo(buf[:0]))
+}
+
+// appendTo appends the literal's String to b.
+func (l Literal) appendTo(b []byte) []byte {
 	switch l.Kind {
 	case LConst:
-		return fmt.Sprintf("x%d.%s=%q", l.X, l.A, l.C)
+		b = appendTerm(b, l.X, l.A)
+		return strconv.AppendQuote(append(b, '='), l.C)
 	case LVar:
-		return fmt.Sprintf("x%d.%s=x%d.%s", l.X, l.A, l.Y, l.B)
+		return appendTerm(append(appendTerm(b, l.X, l.A), '='), l.Y, l.B)
 	default:
-		return "false"
+		return append(b, "false"...)
 	}
+}
+
+// appendTerm appends x<v>.<a>.
+func appendTerm(b []byte, v int, a string) []byte {
+	b = strconv.AppendInt(append(b, 'x'), int64(v), 10)
+	return append(append(b, '.'), a...)
 }
 
 // normalised returns l with LVar sides ordered canonically so that
@@ -137,12 +153,26 @@ func (g *GFD) String() string {
 // numbering; for the small per-pattern literal sets of discovery this is a
 // sound (never merges distinct GFDs) and effective de-duplication key.
 func (g *GFD) Key() string {
-	xs := make([]string, len(g.X))
-	for i, l := range g.X {
-		xs[i] = l.normalised().String()
+	// The literals are rendered into one buffer and sorted as byte spans.
+	var buf [256]byte
+	var spanBuf [8][2]int
+	lits, spans := buf[:0], spanBuf[:0]
+	for _, l := range g.X {
+		lo := len(lits)
+		lits = l.normalised().appendTo(lits)
+		spans = append(spans, [2]int{lo, len(lits)})
 	}
-	sort.Strings(xs)
-	return g.Q.CanonicalCode() + "#" + strings.Join(xs, "&") + "=>" + g.RHS.normalised().String()
+	slices.SortFunc(spans, func(a, b [2]int) int { return bytes.Compare(lits[a[0]:a[1]], lits[b[0]:b[1]]) })
+	code := g.Q.CanonicalCode()
+	var out [512]byte
+	b := append(append(out[:0], code...), '#')
+	for i, sp := range spans {
+		if i > 0 {
+			b = append(b, '&')
+		}
+		b = append(b, lits[sp[0]:sp[1]]...)
+	}
+	return string(g.RHS.normalised().appendTo(append(b, "=>"...)))
 }
 
 // ContainsLiteral reports whether X contains l (up to LVar symmetry).

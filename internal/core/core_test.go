@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -75,6 +77,54 @@ func TestKeyDedup(t *testing.T) {
 	c := New(q1(), []Literal{Const(1, "type", "film")}, Const(0, "type", "producer"))
 	if a.Key() == c.Key() {
 		t.Fatal("different X must give different Keys")
+	}
+}
+
+// fmtLiteral and fmtKey are String and Key as rendered through fmt
+// before both moved to strconv, which must stay byte-identical: output
+// digests hash Key, and gfddiscover prints String.
+func fmtLiteral(l Literal) string {
+	switch l.Kind {
+	case LConst:
+		return fmt.Sprintf("x%d.%s=%q", l.X, l.A, l.C)
+	case LVar:
+		return fmt.Sprintf("x%d.%s=x%d.%s", l.X, l.A, l.Y, l.B)
+	default:
+		return "false"
+	}
+}
+
+func fmtKey(g *GFD) string {
+	xs := make([]string, len(g.X))
+	for i, l := range g.X {
+		xs[i] = fmtLiteral(l.normalised())
+	}
+	sort.Strings(xs)
+	return g.Q.CanonicalCode() + "#" + strings.Join(xs, "&") + "=>" + fmtLiteral(g.RHS.normalised())
+}
+
+func TestKeyMatchesFmt(t *testing.T) {
+	consts := []string{"", "film", `say "hi"`, `back\slash`, "naïve 東京", "tab\tnew\nline\x00\x7f", "\xff\xfe", "🎬"}
+	lits := []Literal{False(), Vars(0, "name", 1, "name"), Vars(1, "name", 0, "name"), Vars(2, "a", 2, "b"), Vars(2, "b", 2, "a"), Vars(12, "a", 3, "a")}
+	for i, c := range consts {
+		lits = append(lits, Const(i%3, "type", c), Const(10+i, "weird \"attr\"", c))
+	}
+	for _, l := range lits {
+		if got, want := l.String(), fmtLiteral(l); got != want {
+			t.Fatalf("String = %s, fmt renders %s", got, want)
+		}
+	}
+	for i, rhs := range lits {
+		for n := 0; n <= 3; n++ {
+			x := make([]Literal, n)
+			for j := range x {
+				x[j] = lits[(i*7+j*5+n)%len(lits)]
+			}
+			g := New(q1(), x, rhs)
+			if got, want := g.Key(), fmtKey(g); got != want {
+				t.Fatalf("Key = %s, fmt renders %s", got, want)
+			}
+		}
 	}
 }
 
@@ -161,44 +211,49 @@ func TestReducesGFD(t *testing.T) {
 	}
 }
 
+// closureOf chases x with no rules over x's own terms.
+func closureOf(x ...Literal) *Closure { return ComputeClosure(nil, nil, x) }
+
 func TestClosureTransitivity(t *testing.T) {
-	cl := new(Closure)
-	cl.assert(Vars(0, "a", 1, "b"))
-	cl.assert(Vars(1, "b", 2, "c"))
-	if !cl.holds(Vars(0, "a", 2, "c")) {
+	x := []Literal{Vars(0, "a", 1, "b"), Vars(1, "b", 2, "c")}
+	cl := closureOf(x...)
+	if !cl.Holds(Vars(0, "a", 2, "c")) {
 		t.Fatal("transitivity of equality broken")
 	}
-	cl.assert(Const(0, "a", "v"))
-	if !cl.holds(Const(2, "c", "v")) {
+	x = append(x, Const(0, "a", "v"))
+	cl = closureOf(x...)
+	if !cl.Holds(Const(2, "c", "v")) {
 		t.Fatal("constant propagation through classes broken")
 	}
 	if cl.Conflicting() {
 		t.Fatal("no conflict expected")
 	}
-	cl.assert(Const(1, "b", "w"))
+	x = append(x, Const(1, "b", "w"))
+	cl = closureOf(x...)
 	if !cl.Conflicting() {
 		t.Fatal("conflicting constants must be detected")
 	}
-	if !cl.holds(Const(0, "zzz", "anything")) {
+	if !cl.Holds(Const(0, "zzz", "anything")) {
 		t.Fatal("a conflicting closure entails everything")
 	}
 }
 
 func TestClosureUnknownTerms(t *testing.T) {
-	cl := new(Closure)
-	cl.assert(Const(0, "a", "v"))
-	if cl.holds(Const(1, "b", "v")) {
+	x := []Literal{Const(0, "a", "v")}
+	cl := closureOf(x...)
+	if cl.Holds(Const(1, "b", "v")) {
 		t.Fatal("unasserted term must not hold")
 	}
-	if cl.holds(Vars(0, "a", 1, "b")) {
+	if cl.Holds(Vars(0, "a", 1, "b")) {
 		t.Fatal("equality with unknown term must not hold")
 	}
-	if cl.holds(False()) {
+	if cl.Holds(False()) {
 		t.Fatal("false must not hold in a consistent closure")
 	}
 	// Equal constants entail equality.
-	cl.assert(Const(1, "b", "v"))
-	if !cl.holds(Vars(0, "a", 1, "b")) {
+	x = append(x, Const(1, "b", "v"))
+	cl = closureOf(x...)
+	if !cl.Holds(Vars(0, "a", 1, "b")) {
 		t.Fatal("equal constants entail term equality")
 	}
 }

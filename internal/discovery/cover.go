@@ -11,8 +11,8 @@ import (
 // minimal subset equivalent to Σ. It reduces the groups of CoverGroups in
 // turn, so each φ is tested only against the GFDs embedded in its
 // pattern, and returns the kept GFDs in SortMostSpecificFirst order. The
-// groups share one Implier, which enumerates each pattern pair's
-// embeddings once.
+// groups share one Implier, which compiles each GFD's literals and
+// enumerates each pattern pair's embeddings once.
 //
 // The result is the cover that inspecting all of Σ most specific first
 // yields when each φ is tested against Σ\{φ}: Σ ⊨ φ iff the GFDs of Σ
@@ -83,14 +83,17 @@ func CoverGroups(sigma []*core.GFD) []*CoverGroup {
 // and drops φ when Embedded, the members kept so far and those not yet
 // inspected imply it. One pass suffices: implication is monotone, and the
 // set only shrinks after φ is kept, so a kept φ is never implied later.
+// The group's chase is compiled once; each test switches off φ's own
+// rules and those of the members dropped before it.
 func (g *CoverGroup) Reduce(im *core.Implier) []*core.GFD {
 	work := append([]*core.GFD(nil), g.GFDs...)
 	SortMostSpecificFirst(work)
+	ch := im.Chase(g.Embedded, work)
 	kept := make([]*core.GFD, 0, len(work))
-	rest := make([]*core.GFD, 0, len(g.Embedded)+len(work))
 	for i, phi := range work {
-		rest = append(append(append(rest[:0], g.Embedded...), kept...), work[i+1:]...)
-		if !im.Implies(rest, phi) {
+		if ch.Implied(i) {
+			ch.Drop(i)
+		} else {
 			kept = append(kept, phi)
 		}
 	}

@@ -61,13 +61,14 @@ type miner struct {
 	posKeys  map[string]bool
 	budget   int // remaining candidate budget; -1 = unlimited
 
-	// literalTree scratch: the triviality and reduction checker, the
-	// current and next frontiers, the minimal valid X sets, and the
-	// candidate's literals.
+	// literalTree scratch: the triviality and reduction checker, which
+	// holds the current pattern's compiled pool, the current and next
+	// frontiers, the minimal valid X sets, and a negative candidate's
+	// pool indexes.
 	imp             core.Implier
 	frontier, next  []int
 	valid, validEnd []int
-	lits            []core.Literal
+	nx              []int
 }
 
 func mineWithBackend(b Backend, prof *Profile, opts Options, res *Result) {
@@ -339,6 +340,7 @@ func (m *miner) hspawn(pn *patNode) {
 	}
 	ev := m.b.Evaluate(pn.h, pool)
 	defer ev.Release()
+	m.imp.CompilePool(pool)
 
 	for li := range pool {
 		m.literalTree(pn, ev, pool, li)
@@ -408,11 +410,7 @@ func (m *miner) literalTree(pn *patNode, ev Evaluator, pool []core.Literal, li i
 				m.res.Stats.CandidatesPruned++
 				continue
 			}
-			m.lits = m.lits[:0]
-			for _, xj := range x {
-				m.lits = append(m.lits, pool[xj])
-			}
-			if m.imp.Trivial(m.lits, rhs) {
+			if m.imp.TrivialPool(x, li) {
 				// Lemma 4(a): trivial GFDs (unsatisfiable X, or RHS derived
 				// by transitivity) are never emitted; extensions of an
 				// unsatisfiable X stay unsatisfiable and extensions of a
@@ -490,11 +488,11 @@ func (m *miner) nhspawn(pn *patNode, ev Evaluator, pool []core.Literal, x []int,
 		if !plausible {
 			continue
 		}
-		nx := append(literalsOf(pool, x), l)
-		if m.imp.Trivial(nx, core.False()) {
+		m.nx = append(append(m.nx[:0], x...), j)
+		if m.imp.TrivialPool(m.nx, core.PoolFalse) {
 			continue
 		}
-		m.emitNegative(core.New(pn.p, nx, core.False()), baseSupp, pn.level)
+		m.emitNegative(core.New(pn.p, append(literalsOf(pool, x), l), core.False()), baseSupp, pn.level)
 	}
 }
 

@@ -404,36 +404,41 @@ func edgeLess(a, b Edge) bool {
 // LabelProfileCompatible is a cheap necessary condition for sub to embed
 // into super: every concrete node (edge) label of sub must occur in super
 // at least as often, and sizes must not exceed super's. Used to prune
-// pairwise embedding tests during cover grouping.
+// pairwise embedding tests during cover grouping. Patterns have a few
+// nodes, so counting labels by scanning is cheaper than hashing them.
 func LabelProfileCompatible(sub, super *Pattern) bool {
 	if sub.N() > super.N() || sub.Size() > super.Size() {
 		return false
 	}
-	nodeCount := make(map[string]int)
-	for _, l := range super.NodeLabels {
-		nodeCount[l]++
-	}
 	for _, l := range sub.NodeLabels {
-		if l == Wildcard {
-			continue
-		}
-		nodeCount[l]--
-		if nodeCount[l] < 0 {
+		if l != Wildcard && countOf(sub.NodeLabels, l) > countOf(super.NodeLabels, l) {
 			return false
 		}
 	}
-	edgeCount := make(map[string]int)
-	for _, e := range super.Edges {
-		edgeCount[e.Label]++
-	}
 	for _, e := range sub.Edges {
-		if e.Label == Wildcard {
-			continue
-		}
-		edgeCount[e.Label]--
-		if edgeCount[e.Label] < 0 {
+		if e.Label != Wildcard && edgeCountOf(sub.Edges, e.Label) > edgeCountOf(super.Edges, e.Label) {
 			return false
 		}
 	}
 	return true
+}
+
+func countOf(labels []string, l string) int {
+	n := 0
+	for _, m := range labels {
+		if m == l {
+			n++
+		}
+	}
+	return n
+}
+
+func edgeCountOf(edges []Edge, l string) int {
+	n := 0
+	for _, e := range edges {
+		if e.Label == l {
+			n++
+		}
+	}
+	return n
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/pattern"
@@ -476,6 +477,22 @@ func (im *Implier) compiled(g *GFD) int32 {
 	return off
 }
 
+// reserve grows the compiled-literal memo once for the owners not yet
+// compiled, instead of once per doubling as compiled appends them.
+func (im *Implier) reserve(owners []*GFD) {
+	fresh, lits := 0, 0
+	for _, g := range owners {
+		if _, ok := im.gfds[g]; !ok {
+			fresh++
+			lits += len(g.X) + 1
+		}
+	}
+	if im.gfds == nil {
+		im.gfds = make(map[*GFD]int32, fresh)
+	}
+	im.lits = slices.Grow(im.lits, lits)
+}
+
 // maxVar returns the largest variable of l, or -1.
 func (l clit) maxVar() int32 {
 	switch l.kind {
@@ -518,6 +535,7 @@ func (im *Implier) Chase(rules, members []*GFD) *Chase {
 	ch.owners = append(append(ch.owners[:0], rules...), members...)
 	ch.off = append(ch.off[:0], make([]bool, len(ch.owners))...)
 	ch.seeds, ch.hostOf = ch.seeds[:0], ch.hostOf[:0]
+	im.reserve(ch.owners)
 	im.hosts = im.hosts[:0]
 	for _, phi := range members {
 		off := im.compiled(phi)

@@ -115,6 +115,9 @@ func NewSeqBackend(v graph.View, maxRows int, stats *Stats) *SeqBackend {
 		// reader until finalized.
 		g.Finalize()
 	}
+	// Build the extend kernel's label signatures here, not in the first
+	// join.
+	graph.LabelSigsFor(v)
 	return &SeqBackend{v: v, maxRows: maxRows, stats: stats, cols: NewColumns(v)}
 }
 

@@ -170,13 +170,16 @@ func DegreeStatsFor(v View) *DegreeStats {
 	if s, ok := v.(DegreeStatser); ok {
 		return s.DegreeStats()
 	}
+	return cached(v, degreeStatsKey{}, NewDegreeStats)
+}
+
+// cached returns the structure stored under key in v's PlanCache,
+// building it from v on the first call.
+func cached[T any](v View, key any, build func(View) *T) *T {
 	c := v.PlanCache()
-	if d, ok := c.Load(degreeStatsKey{}); ok {
-		return d.(*DegreeStats)
+	if x, ok := c.Load(key); ok {
+		return x.(*T)
 	}
-	d := NewDegreeStats(v)
-	if prev, loaded := c.LoadOrStore(degreeStatsKey{}, d); loaded {
-		return prev.(*DegreeStats)
-	}
-	return d
+	x, _ := c.LoadOrStore(key, build(v))
+	return x.(*T)
 }

@@ -20,8 +20,10 @@ import (
 // the anchor column grouped, so one forward scan finds each run of equal
 // anchors, the CSR lookup and label filter run once per run, and only the
 // per-row injectivity scan stays innermost; concrete closing edges are
-// grouped by their (source, destination) variables. Output is
-// byte-identical to the row-at-a-time reference in extend_ref_test.go.
+// grouped by their (source, destination) variables, and each view's
+// edge-label signatures (graph.LabelSigs) rule out the probes that must
+// come back empty. Output is byte-identical to the row-at-a-time
+// reference in extend_ref_test.go.
 
 // appendCandOK appends the candidates that survive the run-invariant
 // filters — node label satisfies want (always, for a wildcard) and
@@ -90,11 +92,12 @@ type kernel struct {
 	// ranges[v] is the node range of the parent's column v, found by the
 	// call's first narrow by v: once per batch, not per child.
 	ranges  []colRange
-	idx     IndexedExt     // the index of the child at hand, or of a merge
-	cands   []graph.NodeID // one anchor run's filtered candidates
-	closing []closingChild // the call's concrete closing children
-	members []IndexedExt   // the index of each member of the group at hand
-	cur     []int          // merge cursors, one per view
+	idx     IndexedExt         // the index of the child at hand, or of a merge
+	cands   []graph.NodeID     // one anchor run's filtered candidates
+	closing []closingChild     // the call's concrete closing children
+	members []IndexedExt       // the index of each member of the group at hand
+	sigs    []*graph.LabelSigs // the label signatures of the group's views
+	cur     []int              // merge cursors, one per view
 }
 
 type colRange struct {
@@ -135,6 +138,7 @@ func newKernel(views []graph.View) *kernel {
 func (k *kernel) release() {
 	k.views = nil
 	clear(k.lv[:cap(k.lv)])
+	clear(k.sigs[:cap(k.sigs)])
 	kernels.Put(k)
 }
 
@@ -261,18 +265,27 @@ func (k *kernel) closeWildcard(t *Table, e pattern.Edge, ext *IndexedExt) {
 
 // closeGroup filters t's rows for every closing child of one group (same
 // source and destination variables, concrete labels, sorted) into
-// k.members, indexed like group. The source column is scanned once; per
-// run of equal sources, each view is asked once per distinct member
-// label for the source's out-neighbours by it, and the run's rows are
-// tested only for the labels the source has.
+// k.members, indexed like group. The source column is scanned once. Per
+// run of equal sources and view, the view's label signatures pick the
+// member labels worth a lookup: those whose bit is set both in the
+// source's outgoing word and in some row's destination's incoming word.
+// A view with no out-edge at the source has no bits there, so this also
+// stands in for its bounds. Each picked label is looked up once (OutTo)
+// and the run's rows are tested against its neighbours.
 func (k *kernel) closeGroup(t *Table, group []closingChild) {
-	srcCol := t.cols[group[0].src]
-	views, vb := k.narrow(t, group[0].src, true)
+	srcCol, dstCol := t.cols[group[0].src], t.cols[group[0].dst]
+	views, _ := k.narrow(t, group[0].src, true)
+	k.sigs = k.sigs[:0]
+	for _, v := range views {
+		k.sigs = append(k.sigs, graph.LabelSigsFor(v))
+	}
+	var want uint64 // the bits of the group's labels
 	for len(k.members) < len(group) {
 		k.members = append(k.members, IndexedExt{})
 	}
-	for j := range group {
+	for j, c := range group {
 		k.members[j].reset()
+		want |= graph.LabelBit(c.label)
 	}
 	for lo := 0; lo < len(srcCol); {
 		src := srcCol[lo]
@@ -281,13 +294,22 @@ func (k *kernel) closeGroup(t *Table, group []closingChild) {
 			hi++
 		}
 		for i, v := range views {
-			if vb.skip(i, src, true) {
+			sig := k.sigs[i]
+			probe := sig.Out(src) & want
+			if probe == 0 {
+				continue
+			}
+			var in uint64
+			for r := lo; r < hi && in&probe != probe; r++ {
+				in |= sig.In(dstCol[r])
+			}
+			if probe &= in; probe == 0 {
 				continue
 			}
 			for m, c := range group {
-				if m == 0 || group[m-1].label != c.label {
+				if (m == 0 || group[m-1].label != c.label) && probe&graph.LabelBit(c.label) != 0 {
 					if ns := v.OutTo(src, c.label); len(ns) > 0 {
-						k.keepRows(t, group, m, ns, lo, hi)
+						k.keepRows(t, group, m, ns, sig, lo, hi)
 					}
 				}
 			}
@@ -298,16 +320,18 @@ func (k *kernel) closeGroup(t *Table, group []closingChild) {
 
 // keepRows appends the rows in [lo, hi) whose destination is in ns to
 // the index of group member m and of the later members with its label.
-// Rows an earlier view already kept for this run (a vertex cut gives a
-// source's out-edges to one view, other view sets may not) are merged,
-// each once.
-func (k *kernel) keepRows(t *Table, group []closingChild, m int, ns []graph.NodeID, lo, hi int) {
+// A row whose destination has no incoming edge with the label's bit in
+// the probed view (sig) is dropped without searching ns. Rows an earlier
+// view already kept for this run (a vertex cut gives a source's
+// out-edges to one view, other view sets may not) are merged, each once.
+func (k *kernel) keepRows(t *Table, group []closingChild, m int, ns []graph.NodeID, sig *graph.LabelSigs, lo, hi int) {
 	dstCol := t.cols[group[m].dst]
+	bit := graph.LabelBit(group[m].label)
 	for j := m; j < len(group) && group[j].label == group[m].label; j++ {
 		ext := &k.members[j]
 		n := len(ext.ParentRows)
 		for r := lo; r < hi; r++ {
-			if graph.ContainsNode(ns, dstCol[r]) {
+			if d := dstCol[r]; sig.In(d)&bit != 0 && graph.ContainsNode(ns, d) {
 				ext.ParentRows = append(ext.ParentRows, uint32(r))
 			}
 		}

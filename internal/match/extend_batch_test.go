@@ -1,6 +1,7 @@
 package match
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -107,30 +108,124 @@ func TestBatchedExtendViewsDifferential(t *testing.T) {
 		g := randomGraph(r, 6+r.Intn(10))
 		p1, child := randomChild(r)
 		t1 := EdgeMatches(g, p1, nil)
-		// Edge-parity partition: two overlapping-node SubCSR views whose
-		// union is the graph — the ParDis worker shape.
-		var even, odd []graph.IEdge
-		i := 0
-		for u := 0; u < g.NumNodes(); u++ {
-			lo, hi := g.OutRuns(graph.NodeID(u))
-			for rr := lo; rr < hi; rr++ {
-				l := g.OutRunLabel(rr)
-				for _, d := range g.OutRunNodes(rr) {
-					e := graph.IEdge{Src: graph.NodeID(u), Dst: d, Label: l}
-					if i%2 == 0 {
-						even = append(even, e)
-					} else {
-						odd = append(odd, e)
-					}
-					i++
-				}
-			}
-		}
-		views := []graph.View{graph.NewSubCSR(g, even), graph.NewSubCSR(g, odd)}
+		views := parityViews(g)
 		return tablesIdentical(extendRowsViews(views, t1, child), extendRowsViewsRef(views, t1, child))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// parityViews splits g's edges by the parity of their position in edge
+// order into two SubCSR views over the same nodes whose union is the
+// graph — the ParDis worker shape.
+func parityViews(g *graph.Graph) []graph.View {
+	var parts [2][]graph.IEdge
+	i := 0
+	graph.ViewEdges(g, func(e graph.IEdge) bool {
+		parts[i%2] = append(parts[i%2], e)
+		i++
+		return true
+	})
+	return []graph.View{graph.NewSubCSR(g, parts[0]), graph.NewSubCSR(g, parts[1])}
+}
+
+// aliasLabels is the number of edge labels aliasGraph interns after the
+// three node labels: enough that labels 64 apart share a signature bit.
+const aliasLabels = 70
+
+// aliasGraph draws a random graph over node labels a, b and c whose edge
+// labels e0 … e69 are interned in order, so eJ and e(J+64) share a
+// signature bit. One edge carries each label; the rest carry the six
+// aliased pairs, so signatures alias on most nodes.
+func aliasGraph(r *rand.Rand, n int) *graph.Graph {
+	g := graph.New(n, aliasLabels+3*n)
+	for _, l := range []string{"a", "b", "c"} {
+		g.AddNode(l, nil)
+	}
+	for g.NumNodes() < n {
+		g.AddNode([]string{"a", "b", "c"}[r.Intn(3)], nil)
+	}
+	for j := 0; j < aliasLabels; j++ {
+		g.AddEdge(graph.NodeID(j%n), graph.NodeID((j+1)%n), fmt.Sprintf("e%d", j))
+	}
+	for i := 0; i < 3*n; i++ {
+		if s, d := r.Intn(n), r.Intn(n); s != d {
+			g.AddEdge(graph.NodeID(s), graph.NodeID(d), aliasedLabel(r))
+		}
+	}
+	g.Finalize()
+	return g
+}
+
+// aliasedLabel draws one label of the aliased pairs (eJ, e(J+64)).
+func aliasedLabel(r *rand.Rand) string {
+	return fmt.Sprintf("e%d", r.Intn(aliasLabels-64)+64*r.Intn(2))
+}
+
+// TestBatchedExtendSignatureAliasing: closing children whose labels share
+// a signature bit (eJ and e(J+64)) must come out byte-identical to the
+// row-at-a-time reference, which reads no signature, over one view, the
+// edge-parity two-view partition and a source-range cut: a bit set by
+// the other label of a pair proves nothing, so the kernel must still
+// probe.
+func TestBatchedExtendSignatureAliasing(t *testing.T) {
+	kept, empty := 0, 0
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		g := aliasGraph(r, 6+r.Intn(20))
+		e0, _ := g.LookupLabel("e0")
+		e64, _ := g.LookupLabel("e64")
+		if e0 == e64 || graph.LabelBit(e0) != graph.LabelBit(e64) || g.NumLabels() < aliasLabels {
+			t.Fatalf("graph interns %d labels, e0 = %d, e64 = %d: not an aliased pair", g.NumLabels(), e0, e64)
+		}
+		parent := pattern.SingleEdge(pattern.Wildcard, aliasedLabel(r), pattern.Wildcard)
+		table := EdgeMatches(g, parent, nil)
+		if r.Intn(2) == 0 {
+			grown := parent.ExtendNewNode(r.Intn(2), aliasedLabel(r), pattern.Wildcard, r.Intn(2) == 0)
+			parent, table = grown, ExtendRows(g, table, grown)
+		}
+		n := parent.N()
+		src := r.Intn(n)
+		dst := (src + 1 + r.Intn(n-1)) % n
+		j := r.Intn(aliasLabels - 64)
+		l, l64 := fmt.Sprintf("e%d", j), fmt.Sprintf("e%d", j+64)
+		children := []*pattern.Pattern{
+			parent.ExtendClosingEdge(src, dst, l),
+			parent.ExtendClosingEdge(src, dst, l64),
+			parent.ExtendClosingEdge(src, dst, aliasedLabel(r)),
+			parent.ExtendClosingEdge(dst, src, l64),
+			parent.ExtendClosingEdge(dst, src, l),
+		}
+		k := 2 + r.Intn(3)
+		viewSets := [][]graph.View{{g}, parityViews(g), sourceRangeViews(g, k, r.Intn(k))}
+		for _, views := range viewSets {
+			batch := ExtendRowsViewsBatch(views, table, children)
+			for i, c := range children {
+				want := extendRowsViewsRef(views, table, c)
+				if !tablesIdentical(batch[i], want) || !tablesIdentical(extendRowsViews(views, table, c), want) {
+					t.Logf("seed %d: child %v over %d views diverged", seed, c, len(views))
+					return false
+				}
+				if len(views) == 1 {
+					if !tablesIdentical(ExtendRows(g, table, c), ExtendRowsRef(g, table, c)) {
+						return false
+					}
+					if want.Len() > 0 {
+						kept++
+					} else {
+						empty++
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	if kept == 0 || empty == 0 {
+		t.Fatalf("degenerate: %d closing children kept rows, %d came out empty", kept, empty)
 	}
 }
 

@@ -182,6 +182,10 @@ func newBackend(v graph.View, eng *cluster.Engine, frags []Fragment, opts Option
 		if tt, ok := b.frags[t].Sub.(transferTracker); ok {
 			remote[t] = true
 			b.transferTrackers = append(b.transferTrackers, tt)
+		} else {
+			// The extend kernel probes local fragments: build their label
+			// signatures here, not in the first timed superstep.
+			graph.LabelSigsFor(b.frags[t].Sub)
 		}
 		if ht, ok := b.frags[t].Sub.(hedgeTracker); ok {
 			b.hedgeTrackers = append(b.hedgeTrackers, ht)

@@ -57,6 +57,9 @@ func NewServer(m *store.MappedGraph, opts ServerOptions) (*Server, error) {
 	if !store.WireSupported() {
 		return nil, fmt.Errorf("remote: wire format is little-endian; unsupported on this host")
 	}
+	// Build the extend kernel's label signatures before the first batch
+	// arrives.
+	graph.LabelSigsFor(m)
 	return &Server{
 		m:         m,
 		opts:      opts,
